@@ -11,6 +11,7 @@ property the dataloader experiments depend on (decode overlapping I/O).
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
@@ -39,11 +40,16 @@ _JPEG_MAGIC = b"JSIM"
 _PNG_MAGIC = b"PSIM"
 
 
+@functools.lru_cache(maxsize=None)
 def _quality_table(quality: int) -> np.ndarray:
+    """The quantisation table of *quality*, shaped to broadcast over the
+    ``(hb, 8, wb, 8, c)`` block layout (read-only: it is shared)."""
     quality = int(np.clip(quality, 1, 100))
     scale = 5000 / quality if quality < 50 else 200 - 2 * quality
     table = np.floor((_Q_LUMA * scale + 50) / 100)
-    return np.clip(table, 1, 255).astype(np.float32)
+    table = np.clip(table, 1, 255).astype(np.float32)[None, :, None, :, None]
+    table.flags.writeable = False
+    return table
 
 
 class JpegSim(Codec):
@@ -77,8 +83,9 @@ class JpegSim(Codec):
         hb, wb = x.shape[0] // 8, x.shape[1] // 8
         blocks = x.reshape(hb, 8, wb, 8, c)
         coeffs = dctn(blocks, axes=(1, 3), norm="ortho")
-        qt = _quality_table(self.quality)
-        quant = np.round(coeffs / qt[None, :, None, :, None]).astype(np.int16)
+        quant = np.round(coeffs / _quality_table(self.quality)).astype(
+            np.int16
+        )
         # planar frequency layout: each (u, v) coefficient plane is
         # contiguous, so the mostly-zero high-frequency planes deflate to
         # long runs (the role Huffman/RLE play in real JPEG); the DC plane
@@ -107,12 +114,17 @@ class JpegSim(Codec):
         ).copy()
         dc = planar[0, 0].reshape(c, -1)
         np.add.accumulate(dc, axis=1, dtype=np.int16, out=dc)
-        quant = np.ascontiguousarray(planar.transpose(3, 0, 4, 1, 2))
-        qt = _quality_table(quality or self.quality)
-        coeffs = quant.astype(np.float32) * qt[None, :, None, :, None]
-        blocks = idctn(coeffs, axes=(1, 3), norm="ortho")
-        x = blocks.reshape(hb * 8, wb * 8, c) + 128.0
-        out = np.clip(np.round(x), 0, 255).astype(np.uint8)[:h, :w]
+        # one pass to block layout + float32, then in place: the same
+        # arithmetic as dequantise/IDCT/level-shift/round/clip with fresh
+        # temporaries, so output bytes are unchanged
+        coeffs = planar.transpose(3, 0, 4, 1, 2).astype(np.float32, order="C")
+        coeffs *= _quality_table(quality or self.quality)
+        x = idctn(coeffs, axes=(1, 3), norm="ortho", overwrite_x=True)
+        x = x.reshape(hb * 8, wb * 8, c)
+        x += 128.0
+        np.rint(x, out=x)
+        np.clip(x, 0, 255, out=x)
+        out = x.astype(np.uint8)[:h, :w]
         return out[:, :, 0] if c == 1 else out
 
     def peek_shape(self, data: bytes):

@@ -38,16 +38,86 @@ _FIXED = struct.Struct("<4sIBB")  # magic, header_len, version, flags
 
 
 class Chunk:
-    """In-memory chunk being built or decoded."""
+    """In-memory chunk being built or decoded.
 
-    __slots__ = ("name", "dtype", "data", "byte_positions", "shapes")
+    Samples are packed back to back in ``data``.  A chunk decoded from
+    storage keeps its header's byte positions and shapes as the parsed
+    arrays (:meth:`position_array`, :meth:`shape_array`); they become
+    per-sample Python lists only when the chunk is first modified or the
+    :attr:`shapes` list is asked for.
+    """
+
+    __slots__ = ("name", "dtype", "data", "_positions", "_shapes",
+                 "_position_arr", "_shape_arr")
 
     def __init__(self, dtype: Optional[str] = None, name: Optional[str] = None):
         self.name = name or new_chunk_name()
         self.dtype = dtype
         self.data = bytearray()
-        self.byte_positions: List[Tuple[int, int]] = []
-        self.shapes: List[Tuple[int, ...]] = []
+        # list form (built by appends) or None while only the header
+        # arrays of a decoded chunk exist
+        self._positions: Optional[List[Tuple[int, int]]] = []
+        self._shapes: Optional[List[Tuple[int, ...]]] = []
+        self._position_arr: Optional[np.ndarray] = None  # (n, 2) uint64
+        self._shape_arr: Optional[np.ndarray] = None     # (n, ndim) uint32
+
+    # ------------------------------------------------------------------ #
+    # per-sample layout
+    # ------------------------------------------------------------------ #
+
+    def _thaw(self) -> None:
+        """Switch a decoded chunk to the list form before it changes."""
+        if self._positions is None:
+            # lists first, arrays dropped last: concurrent readers always
+            # find one complete form
+            self._shapes = [tuple(row) for row in self._shape_arr.tolist()]
+            self._positions = [tuple(p) for p in self._position_arr.tolist()]
+            self._position_arr = self._shape_arr = None
+
+    @property
+    def shapes(self) -> List[Tuple[int, ...]]:
+        self._thaw()
+        return self._shapes
+
+    def position_array(self) -> np.ndarray:
+        """``(num_samples, 2)`` uint64 array of [start, end) data offsets."""
+        arr = self._position_arr
+        if arr is not None:
+            return arr
+        return np.asarray(self._positions, dtype=np.uint64).reshape(-1, 2)
+
+    def shape_array(self) -> np.ndarray:
+        """``(num_samples, ndim)`` uint32 array of sample shapes."""
+        arr = self._shape_arr
+        if arr is not None:
+            return arr
+        return np.asarray(self._shapes, dtype=np.uint32).reshape(
+            len(self._shapes), self.ndim
+        )
+
+    @property
+    def ndim(self) -> int:
+        arr = self._shape_arr
+        if arr is not None:
+            return arr.shape[1]
+        return len(self._shapes[0]) if self._shapes else 0
+
+    def dense_samples(self, dtype: np.dtype,
+                      shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """Every sample as one ``(num_samples, *shape)`` view of ``data``,
+        or None unless all samples are uncompressed arrays of exactly
+        *shape* and *dtype*.  Samples are packed back to back, so sample
+        ``i`` starts at ``i * sample_nbytes`` (Hub's ``calculate_bytes``).
+        The view pins ``data``: drop it before the chunk can grow."""
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = count * dtype.itemsize
+        n = self.num_samples
+        if not nbytes or len(self.data) != n * nbytes:
+            return None
+        if self.ndim != len(shape) or not (self.shape_array() == shape).all():
+            return None
+        flat = np.frombuffer(self.data, dtype=dtype, count=n * count)
+        return flat.reshape((n,) + tuple(shape))
 
     # ------------------------------------------------------------------ #
     # building
@@ -55,7 +125,10 @@ class Chunk:
 
     @property
     def num_samples(self) -> int:
-        return len(self.byte_positions)
+        arr = self._position_arr
+        if arr is not None:
+            return len(arr)
+        return len(self._positions)
 
     @property
     def nbytes(self) -> int:
@@ -64,13 +137,12 @@ class Chunk:
 
     @property
     def header_nbytes(self) -> int:
-        ndim = len(self.shapes[0]) if self.shapes else 0
         return (
             _FIXED.size
             + 2 + len("none")
             + 2 + len(self.dtype or "")
             + 4 + 1
-            + 4 * ndim * self.num_samples
+            + 4 * self.ndim * self.num_samples
             + 16 * self.num_samples
         )
 
@@ -82,48 +154,62 @@ class Chunk:
 
     def append(self, raw: bytes, shape: Sequence[int]) -> None:
         shape = tuple(int(x) for x in shape)
-        if self.shapes and len(shape) != len(self.shapes[0]):
+        self._thaw()
+        if self._shapes and len(shape) != len(self._shapes[0]):
             raise ChunkCorruptedError(
                 f"sample rank {len(shape)} differs from chunk rank "
-                f"{len(self.shapes[0])}"
+                f"{len(self._shapes[0])}"
             )
         start = len(self.data)
         self.data.extend(raw)
-        self.byte_positions.append((start, len(self.data)))
-        self.shapes.append(shape)
+        self._positions.append((start, len(self.data)))
+        self._shapes.append(shape)
 
     def read_bytes(self, local_index: int) -> bytes:
-        start, end = self.byte_positions[local_index]
+        arr = self._position_arr
+        if arr is not None:
+            start, end = arr[local_index].tolist()
+        else:
+            start, end = self._positions[local_index]
         return bytes(self.data[start:end])
 
     def read_shape(self, local_index: int) -> Tuple[int, ...]:
-        return self.shapes[local_index]
+        arr = self._shape_arr
+        if arr is not None:
+            return tuple(arr[local_index].tolist())
+        return self._shapes[local_index]
+
+    def truncate(self, num_samples: int, data_len: int) -> None:
+        """Drop every sample from *num_samples* on (rollback path)."""
+        self._thaw()
+        del self.data[data_len:]
+        del self._positions[num_samples:]
+        del self._shapes[num_samples:]
 
     def update(self, local_index: int, raw: bytes, shape: Sequence[int]) -> None:
         """In-place sample replacement (rebuilds the data buffer)."""
         shape = tuple(int(x) for x in shape)
+        self._thaw()
         pieces = [self.read_bytes(i) for i in range(self.num_samples)]
         pieces[local_index] = bytes(raw)
-        self.data = bytearray()
-        self.byte_positions = []
-        offset = 0
-        for piece in pieces:
-            self.data.extend(piece)
-            self.byte_positions.append((offset, offset + len(piece)))
-            offset += len(piece)
-        self.shapes[local_index] = shape
+        self._repack(pieces)
+        self._shapes[local_index] = shape
 
     def pop(self, local_index: int) -> None:
         """Drop one sample (used by rechunking)."""
+        self._thaw()
         pieces = [self.read_bytes(i) for i in range(self.num_samples)]
         del pieces[local_index]
-        del self.shapes[local_index]
+        del self._shapes[local_index]
+        self._repack(pieces)
+
+    def _repack(self, pieces: List[bytes]) -> None:
         self.data = bytearray()
-        self.byte_positions = []
+        self._positions = []
         offset = 0
         for piece in pieces:
             self.data.extend(piece)
-            self.byte_positions.append((offset, offset + len(piece)))
+            self._positions.append((offset, offset + len(piece)))
             offset += len(piece)
 
     # ------------------------------------------------------------------ #
@@ -133,10 +219,10 @@ class Chunk:
     def tobytes(self, chunk_compression: Optional[str] = None) -> bytes:
         cc = (chunk_compression or "none").encode()
         dtype = (self.dtype or "").encode()
-        ndim = len(self.shapes[0]) if self.shapes else 0
+        ndim = self.ndim
         n = self.num_samples
-        shapes_arr = np.asarray(self.shapes, dtype=np.uint32).reshape(n, ndim)
-        bp_arr = np.asarray(self.byte_positions, dtype=np.uint64).reshape(n, 2)
+        shapes_arr = self.shape_array()
+        bp_arr = self.position_array()
         header_tail = b"".join(
             [
                 struct.pack("<H", len(cc)), cc,
@@ -205,15 +291,18 @@ class Chunk:
         blob = bytes(blob)
         header = cls.parse_header(blob)
         chunk = cls(dtype=header.dtype, name=name)
-        data = blob[header.header_len :]
         if header.flags & FLAG_CHUNK_COMPRESSED:
-            data = decompress_bytes(data, header.chunk_compression)
-        chunk.data = bytearray(data)
-        chunk.shapes = [tuple(int(x) for x in row) for row in header.shapes]
-        chunk.byte_positions = [
-            (int(s), int(e)) for s, e in header.byte_positions
-        ]
-        declared = chunk.byte_positions[-1][1] if chunk.byte_positions else 0
+            data = decompress_bytes(blob[header.header_len :],
+                                    header.chunk_compression)
+            chunk.data = bytearray(data)
+        else:
+            chunk.data = bytearray(memoryview(blob)[header.header_len :])
+        # copies: the parsed header arrays are views that would pin blob
+        chunk._shape_arr = header.shapes.copy()
+        chunk._position_arr = header.byte_positions.copy()
+        chunk._positions = chunk._shapes = None
+        n = len(chunk._position_arr)
+        declared = int(chunk._position_arr[-1, 1]) if n else 0
         if len(chunk.data) < declared:
             raise ChunkCorruptedError(
                 f"data section truncated: {len(chunk.data)} < {declared}"

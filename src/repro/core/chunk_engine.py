@@ -21,15 +21,17 @@ Chunks exist so that one fetch + one decompress amortizes over many
 samples (§3.4–3.5), so every multi-row consumer goes through a shared
 batched read path instead of N independent :meth:`read_sample` calls:
 
-- :meth:`plan_reads` turns a list of sample indices into a
-  :class:`ReadPlan`: rows are resolved through :class:`ChunkIdEncoder`
-  (version-aware — each chunk's storage key is resolved against the
-  commit chain exactly once) and grouped by owning chunk, with tiled
-  samples, sequence samples, and sparse padding handled in the plan;
-- :meth:`read_batch` executes a plan: every missing chunk is fetched in
-  one :meth:`~repro.storage.provider.StorageProvider.get_many` call,
-  decompressed once into the decoded-chunk cache, and all requested
-  samples are sliced out of the decoded buffers;
+- :meth:`plan_reads` turns an array of sample indices into a
+  :class:`ReadPlan`: rows are range-checked and resolved through
+  :class:`ChunkIdEncoder` in one vectorized lookup and grouped by owning
+  chunk as arrays (version-aware — each chunk's storage key is resolved
+  against the commit chain exactly once), with tiled samples, sequence
+  samples, and sparse padding handled in the plan;
+- :meth:`execute_plan` runs a plan: every missing chunk is fetched in
+  one :meth:`~repro.storage.provider.StorageProvider.get_many` call and
+  decompressed once into the decoded-chunk cache; fixed-shape numeric
+  samples are sliced per chunk into one typed :class:`Column`, every
+  other kind is decoded item by item;
 - :meth:`read_shapes_batch` answers bulk shape lookups from one header
   (or cached chunk) per chunk instead of per-row metadata reads.
 
@@ -42,6 +44,7 @@ observable from loader stats and per-tenant serve stats.
 
 from __future__ import annotations
 
+import collections.abc
 import os
 import threading
 import time
@@ -257,54 +260,119 @@ class ReadPlan:
 
     A plan is tensor-local and commit-resolved: every referenced chunk's
     storage key has already been walked through the version tree, so
-    executing the plan is pure I/O + slicing.  ``items`` holds one spec
-    per *flat* item in request order:
+    executing the plan is pure I/O + slicing.  It covers ``num_items``
+    *flat* items in request order (one per requested row; sequence rows
+    expand to their item ranges), described by arrays of item positions:
 
-    - ``("pad",)`` — sparse padding, no storage access;
-    - ``("sample", chunk_name, local_index)`` — one sample of one chunk;
-    - ``("tiled", index, (chunk_name, ...))`` — a sample tiled across
-      dedicated chunks (all of them are in the fetch set).
+    - ``chunks``: chunk name -> ``(positions, locals)`` int64 arrays —
+      the items that are plain samples of that chunk, and their local
+      indices within it;
+    - ``tiled``: ``(position, sample index, chunk names)`` per item tiled
+      across dedicated chunks (all of them are in the fetch set);
+    - ``padded``: positions of sparse padding (no storage access);
+    - ``pruned``: positions whose chunk statistics pushdown skipped.
 
     For sequence tensors ``seq_spans`` records each requested row's
-    ``(start, count)`` span over ``items`` so results reassemble into
+    ``(start, count)`` span over the items so results reassemble into
     per-row sequences.
     """
 
-    __slots__ = ("tensor", "rows", "items", "chunk_keys", "chunk_items",
-                 "active_chunks", "seq_spans", "skipped_chunks")
+    __slots__ = ("tensor", "row_array", "num_items", "chunks", "tiled",
+                 "padded", "pruned", "chunk_keys", "active_chunks",
+                 "seq_spans", "skipped_chunks")
 
     def __init__(self, tensor: str):
         self.tensor = tensor
-        self.rows: List[int] = []            # normalized requested rows
-        self.items: List[Tuple] = []         # per-flat-item specs
+        #: normalized requested rows (int64)
+        self.row_array: np.ndarray = np.empty(0, dtype=np.int64)
+        self.num_items = 0
+        self.chunks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self.tiled: List[Tuple[int, int, Tuple[str, ...]]] = []
+        self.padded: Optional[np.ndarray] = None
+        self.pruned: Optional[np.ndarray] = None
         self.chunk_keys: Dict[str, str] = {}  # chunk -> resolved storage key
-        #: chunk -> [(item position, local index)] for grouping/tests
-        self.chunk_items: Dict[str, List[Tuple[int, int]]] = {}
         self.active_chunks: Set[str] = set()  # in-memory write-back chunks
         self.seq_spans: Optional[List[Tuple[int, int]]] = None
         #: chunks proven irrelevant by statistics pushdown (never fetched)
         self.skipped_chunks: Set[str] = set()
 
     @property
-    def num_items(self) -> int:
-        return len(self.items)
+    def rows(self) -> List[int]:
+        """The normalized requested rows as Python ints."""
+        return self.row_array.tolist()
 
     @property
     def num_chunks(self) -> int:
         """Distinct chunks the plan touches (fetchable + active)."""
-        return len(self.chunk_items)
+        return len(self.chunk_keys) + len(self.active_chunks)
 
     @property
     def num_fetches(self) -> int:
         """Upper bound on storage GETs this plan can issue."""
         return len(self.chunk_keys)
 
+    def pruned_mask(self) -> Optional[np.ndarray]:
+        """Boolean item mask of :attr:`pruned`, or None when nothing was
+        pruned."""
+        if self.pruned is None:
+            return None
+        mask = np.zeros(self.num_items, dtype=bool)
+        mask[self.pruned] = True
+        return mask
+
     def __repr__(self) -> str:
         return (
-            f"ReadPlan(tensor={self.tensor!r}, rows={len(self.rows)}, "
+            f"ReadPlan(tensor={self.tensor!r}, rows={len(self.row_array)}, "
             f"items={self.num_items}, chunks={self.num_chunks}, "
             f"fetches={self.num_fetches})"
         )
+
+
+class Column(collections.abc.Sequence):
+    """What :meth:`ChunkEngine.execute_plan` returns: one value per
+    planned row, in request order.
+
+    ``array`` is the dense typed column — a leading row axis over
+    fixed-shape samples — when the plan qualified for the dense fast
+    path, else None; per-row consumers index or iterate the column and
+    get 0-d/n-d views of ``array`` (or the per-row values otherwise).
+    ``pruned`` marks rows statistics pushdown skipped (their value is
+    :data:`PRUNED`), or is None when nothing was pruned.
+    """
+
+    __slots__ = ("array", "pruned", "_values")
+
+    def __init__(self, array: Optional[np.ndarray] = None,
+                 values: Optional[List] = None,
+                 pruned: Optional[np.ndarray] = None):
+        self.array = array
+        self.pruned = pruned
+        self._values = values
+
+    def tolist(self) -> List:
+        if self._values is None:
+            arr = self.array
+            values = [arr[i, ...] for i in range(len(arr))]
+            if self.pruned is not None:
+                for i in np.flatnonzero(self.pruned).tolist():
+                    values[i] = PRUNED
+            self._values = values
+        return self._values
+
+    def __len__(self) -> int:
+        if self._values is None:
+            return len(self.array)
+        return len(self._values)
+
+    def __getitem__(self, i):
+        return self.tolist()[i]
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __repr__(self) -> str:
+        kind = "dense" if self.array is not None else "values"
+        return f"Column({kind}, rows={len(self)})"
 
 
 class WritePlan:
@@ -848,10 +916,10 @@ class ChunkEngine:
                 "shape_min": None,
                 "shape_max": None,
             }
-            shapes = [list(chunk.read_shape(i)) for i in range(chunk.num_samples)]
-            if shapes and all(len(s) == len(shapes[0]) for s in shapes):
-                entry["shape_min"] = [min(c) for c in zip(*shapes)]
-                entry["shape_max"] = [max(c) for c in zip(*shapes)]
+            shapes = chunk.shape_array()
+            if len(shapes):
+                entry["shape_min"] = shapes.min(axis=0).tolist()
+                entry["shape_max"] = shapes.max(axis=0).tolist()
             self.chunk_stats[name] = entry
 
     def backfill_chunk_stats(self, persist: bool = True) -> int:
@@ -1368,9 +1436,7 @@ class ChunkEngine:
                     chunk = Chunk.frombytes(blob, name=name)
                     written = True
             if len(chunk.data) > dlen:
-                del chunk.data[dlen:]
-                del chunk.byte_positions[nsamp:]
-                del chunk.shapes[nsamp:]
+                chunk.truncate(nsamp, dlen)
                 if written:
                     self._write_chunk(chunk)
         # encoders are append-only: truncate
@@ -1680,25 +1746,72 @@ class ChunkEngine:
     # batched reads (the ReadPlan layer)
     # ------------------------------------------------------------------ #
 
-    def _normalize_rows(self, rows: Sequence[int]) -> List[int]:
+    def _normalize_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """*rows* as an int64 array with negatives resolved, range-checked
+        in one vectorized pass."""
         n = self.num_samples
-        out = []
-        for row in rows:
-            i = int(row)
-            if i < 0:
-                i += n
-            if not 0 <= i < n:
+        arr = np.array(rows, dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            arr[arr < 0] += n
+            bad = (arr < 0) | (arr >= n)
+            if bad.any():
+                row = np.asarray(rows).reshape(-1)[int(np.argmax(bad))]
                 raise SampleIndexError(
                     f"index {row} out of range for tensor {self.tensor!r} "
                     f"of length {n}"
                 )
-            out.append(i)
-        return out
+        return arr
 
-    def _plan_note_chunk(
-        self, plan: ReadPlan, name: str, pos: int, local: int
-    ) -> None:
-        plan.chunk_items.setdefault(name, []).append((pos, local))
+    def _classify_items(
+        self, items: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
+        """``(padded mask, tiled mask, plain positions)`` of flat *items*;
+        a mask is None when no item is of that kind.  Membership is only
+        tested when the pad / tile encoders are non-empty."""
+        padded = tiled = None
+        if self.pad_enc.num_padded:
+            mask = np.isin(items, self.pad_enc.index_array())
+            if mask.any():
+                padded = mask
+        if self.tile_enc.num_tiled:
+            mask = np.isin(items, self.tile_enc.index_array())
+            if padded is not None:
+                mask &= ~padded
+            if mask.any():
+                tiled = mask
+        if padded is None and tiled is None:
+            return None, None, np.arange(len(items))
+        plain = np.ones(len(items), dtype=bool)
+        for mask in (padded, tiled):
+            if mask is not None:
+                plain &= ~mask
+        return padded, tiled, np.flatnonzero(plain)
+
+    def _chunk_groups(self, items: np.ndarray, positions: np.ndarray):
+        """Yield ``(chunk name, positions, locals)`` per chunk holding the
+        plain samples ``items[positions]``: one vectorized encoder lookup,
+        one grouping pass, request order kept within each chunk."""
+        if not len(positions):
+            return
+        enc_rows, local = self.enc.translate_many(items[positions])
+        if (enc_rows[1:] < enc_rows[:-1]).any():
+            order = np.argsort(enc_rows, kind="stable")
+            enc_rows, local, positions = (
+                enc_rows[order], local[order], positions[order]
+            )
+        starts = [0]
+        if enc_rows[0] != enc_rows[-1]:
+            cuts = (enc_rows[1:] != enc_rows[:-1]).nonzero()[0]
+            starts += (cuts + 1).tolist()
+        ends = starts[1:] + [len(enc_rows)]
+        for start, end, row in zip(starts, ends, enc_rows[starts].tolist()):
+            chunk_id = self.enc.chunk_id_at(row)
+            yield (ChunkIdEncoder.name_from_id(chunk_id),
+                   positions[start:end], local[start:end])
+
+    def _plan_chunk_key(self, plan: ReadPlan, name: str) -> None:
+        """Resolve chunk *name* for *plan* once: in-memory write-back
+        chunks are read in place, the rest through the commit chain."""
         if name in plan.chunk_keys or name in plan.active_chunks:
             return
         if self._mem_chunk(name) is not None:
@@ -1706,47 +1819,47 @@ class ChunkEngine:
             return
         plan.chunk_keys[name] = self._chunk_storage_key(name)
 
-    def _plan_flat_items(self, plan: ReadPlan, indices: Sequence[int],
-                         bounds=None) -> None:
-        verdicts: Dict[str, bool] = {}  # chunk name -> prunable
-        for idx in indices:
-            pos = len(plan.items)
-            if self.pad_enc.is_padded(idx):
-                plan.items.append(("pad",))
-                continue
-            if idx in self.tile_enc:
+    def _plan_items(self, plan: ReadPlan, items: np.ndarray,
+                    bounds=None) -> None:
+        plan.num_items = len(items)
+        padded, tiled, plain = self._classify_items(items)
+        if padded is not None:
+            plan.padded = np.flatnonzero(padded)
+        if tiled is not None:
+            for pos in np.flatnonzero(tiled).tolist():
+                idx = int(items[pos])
                 names = tuple(
                     ChunkIdEncoder.name_from_id(cid)
                     for cid in self.enc.tile_chunk_ids(idx)
                 )
-                plan.items.append(("tiled", idx, names))
+                plan.tiled.append((pos, idx, names))
                 for name in names:
-                    self._plan_note_chunk(plan, name, pos, 0)
+                    self._plan_chunk_key(plan, name)
+        pruned = []
+        for name, positions, local in self._chunk_groups(items, plain):
+            if (
+                bounds is not None
+                and self._mem_chunk(name) is None
+                and self._is_prunable(name, bounds)
+            ):
+                plan.skipped_chunks.add(name)
+                pruned.append(positions)
                 continue
-            chunk_id, local = self.enc.translate(idx)
-            name = ChunkIdEncoder.name_from_id(chunk_id)
-            if bounds is not None:
-                prunable = verdicts.get(name)
-                if prunable is None:
-                    prunable = (
-                        self._mem_chunk(name) is None
-                        and self._is_prunable(name, bounds)
-                    )
-                    verdicts[name] = prunable
-                if prunable:
-                    plan.items.append(("pruned",))
-                    plan.skipped_chunks.add(name)
-                    continue
-            plan.items.append(("sample", name, local))
-            self._plan_note_chunk(plan, name, pos, local)
+            self._plan_chunk_key(plan, name)
+            plan.chunks[name] = (positions, local)
+        if pruned:
+            plan.pruned = np.concatenate(pruned)
 
     def plan_reads(self, rows: Sequence[int], bounds=None) -> ReadPlan:
         """Group *rows* by owning chunk into an executable :class:`ReadPlan`.
 
-        Rows may repeat and arrive in any order; each referenced chunk's
-        storage key is resolved against the commit chain exactly once.
-        Sequence rows expand to their flat item ranges, tiled samples pull
-        in every tile chunk, padded rows need no storage at all.
+        Rows (any int sequence or array) may repeat and arrive in any
+        order.  They are range-checked, translated through the
+        :class:`ChunkIdEncoder` and grouped by chunk as arrays; storage-key
+        resolution, the active-chunk check and the pushdown verdict then
+        run once per *chunk*.  Sequence rows expand to their flat item
+        ranges, tiled samples pull in every tile chunk, padded rows need
+        no storage at all.
 
         *bounds* (optional) is a list of necessary-condition intervals
         ``(lo, hi, lo_open, hi_open)`` on the column's values: a chunk
@@ -1757,20 +1870,22 @@ class ChunkEngine:
         active-chunk rows are always read.
         """
         plan = ReadPlan(self.tensor)
-        plan.rows = self._normalize_rows(rows)
+        plan.row_array = self._normalize_rows(rows)
         with _tracing.span("engine.plan_reads", tensor=self.tensor,
-                           rows=len(plan.rows)) as sp:
+                           rows=len(plan.row_array)) as sp:
             with self._lock:
+                items = plan.row_array
                 if self.meta.is_sequence:
-                    plan.seq_spans = []
-                    flat: List[int] = []
-                    for i in plan.rows:
-                        start, end = self.seq_enc.item_range(i)
-                        plan.seq_spans.append((len(flat), end - start))
-                        flat.extend(range(start, end))
-                    self._plan_flat_items(plan, flat)
-                else:
-                    self._plan_flat_items(plan, plan.rows, bounds=bounds)
+                    starts, ends = self.seq_enc.item_ranges(items)
+                    counts = ends - starts
+                    offsets = np.cumsum(counts) - counts
+                    items = (np.repeat(starts - offsets, counts)
+                             + np.arange(int(counts.sum())))
+                    plan.seq_spans = list(
+                        zip(offsets.tolist(), counts.tolist())
+                    )
+                    bounds = None
+                self._plan_items(plan, items, bounds)
             self._m_chunks_planned.inc(len(plan.chunk_keys))
             self._h_plan_chunks.observe(len(plan.chunk_keys))
             sp.set(chunks=plan.num_chunks)
@@ -1839,94 +1954,122 @@ class ChunkEngine:
             self._absorb_fetched(to_fetch, blobs, chunks)
         return chunks
 
-    def _item_value(self, spec: Tuple, chunks: Dict[str, Chunk],
-                    decode: bool):
-        kind = spec[0]
-        if kind == "pruned":
-            return PRUNED
-        if kind == "pad":
-            return self.empty_sample() if decode else b""
-        if kind == "tiled":
-            _kind, idx, names = spec
-            if not decode:
-                # no single encoded payload exists; first tile, as the
-                # historical raw path returned
-                first = chunks[names[0]]
-                return first.read_bytes(0)
-            sample_shape, tile_shape = self.tile_enc.layout(idx)
-            tiles = [
-                self._deserialize_sample(
-                    chunks[name].read_bytes(0), chunks[name].read_shape(0)
-                )
-                for name in names
-            ]
-            return tiling.join(
-                tiles, sample_shape, tile_shape, np.dtype(self.meta.dtype)
-            )
-        _kind, name, local = spec
-        chunk = chunks[name]
-        raw = chunk.read_bytes(local)
+    def _dense_shape(self) -> Optional[Tuple[int, ...]]:
+        """The one sample shape of a tensor whose plans may take the dense
+        fast path (fixed-shape, numeric, not sample-compressed, not a
+        link, text, json or sequence tensor), else None."""
+        m = self.meta
+        if (m.sample_compression or m.is_link or m.is_text or m.is_json
+                or m.is_sequence or m.dtype is None):
+            return None
+        si = m.shape_interval
+        if si.is_empty or not si.is_uniform:
+            return None
+        if np.dtype(m.dtype).kind not in "biuf":
+            return None
+        return si.lower
+
+    def _dense_column(self, plan: ReadPlan,
+                      chunks: Dict[str, Chunk]) -> Optional[np.ndarray]:
+        """The plan's items as one typed ``(num_items, *shape)`` column:
+        each chunk's samples are sliced once as an ndarray and scattered
+        to their item positions (pruned positions stay zero).  None when
+        the plan has tiled or padded items or a chunk is not uniformly
+        shaped — those take the per-item path."""
+        shape = self._dense_shape()
+        if shape is None or plan.tiled or plan.padded is not None:
+            return None
+        dtype = np.dtype(self.meta.dtype)
+        column = np.zeros((plan.num_items,) + shape, dtype=dtype)
+        # the chunk views pin chunk buffers an append would resize
+        with self._lock:
+            for name, (positions, local) in plan.chunks.items():
+                samples = chunks[name].dense_samples(dtype, shape)
+                if samples is None:
+                    return None
+                column[positions] = samples[local]
+        return column
+
+    def _tiled_value(self, idx: int, names: Tuple[str, ...],
+                     chunks: Dict[str, Chunk], decode: bool):
         if not decode:
-            return raw
-        return self._deserialize_sample(raw, chunk.read_shape(local))
+            # no single encoded payload exists; first tile, as the
+            # historical raw path returned
+            return chunks[names[0]].read_bytes(0)
+        sample_shape, tile_shape = self.tile_enc.layout(idx)
+        tiles = [
+            self._deserialize_sample(
+                chunks[name].read_bytes(0), chunks[name].read_shape(0)
+            )
+            for name in names
+        ]
+        return tiling.join(
+            tiles, sample_shape, tile_shape, np.dtype(self.meta.dtype)
+        )
 
     def _plan_item_values(self, plan: ReadPlan, chunks: Dict[str, Chunk],
                           decode: bool) -> List:
-        """One value per plan item, in plan order.
+        """One value per plan item, decoded item by item.
 
-        With the read pipeline on, item slicing (per-sample decompression
-        for sample-compressed tensors) fans out over the shared decode
-        pool, partitioned by owning chunk for locality; results land back
-        at their item positions so order and byte-identity are preserved
-        exactly.  Worker exceptions propagate to the caller.
+        With the read pipeline on, the per-sample work (decompression for
+        sample-compressed tensors) fans out over the shared decode pool in
+        per-chunk runs; results land at their item positions so order and
+        byte-identity are preserved exactly.  Worker exceptions propagate
+        to the caller.
         """
-        items = plan.items
+        values: List = [None] * plan.num_items
+        if plan.padded is not None:
+            for pos in plan.padded.tolist():
+                values[pos] = self.empty_sample() if decode else b""
+        if plan.pruned is not None:
+            for pos in plan.pruned.tolist():
+                values[pos] = PRUNED
+
+        def samples(chunk: Chunk, positions: List[int],
+                    local: List[int]) -> None:
+            for pos, loc in zip(positions, local):
+                raw = chunk.read_bytes(loc)
+                values[pos] = (
+                    self._deserialize_sample(raw, chunk.read_shape(loc))
+                    if decode else raw
+                )
+
+        def tiled(entries) -> None:
+            for pos, idx, names in entries:
+                values[pos] = self._tiled_value(idx, names, chunks, decode)
+
+        runs = [
+            (chunks[name], positions.tolist(), local.tolist())
+            for name, (positions, local) in plan.chunks.items()
+        ]
+        n_items = sum(len(r[1]) for r in runs) + len(plan.tiled)
         workers = _read_parallelism()
-        if workers <= 1 or len(items) <= 1 or not chunks:
-            return [self._item_value(spec, chunks, decode) for spec in items]
-        # partition positions by primary chunk; free items (pad/pruned)
-        # are answered inline — they touch no chunk data
-        values: List = [None] * len(items)
-        by_chunk: Dict[str, List[int]] = {}
-        for pos, spec in enumerate(items):
-            kind = spec[0]
-            if kind == "sample":
-                by_chunk.setdefault(spec[1], []).append(pos)
-            elif kind == "tiled":
-                by_chunk.setdefault(spec[2][0], []).append(pos)
-            else:
-                values[pos] = self._item_value(spec, chunks, decode)
-        n_parallel = sum(len(p) for p in by_chunk.values())
-        if n_parallel <= 1:
-            for positions in by_chunk.values():
-                for pos in positions:
-                    values[pos] = self._item_value(items[pos], chunks, decode)
+        if workers <= 1 or n_items <= 1:
+            for run in runs:
+                samples(*run)
+            tiled(plan.tiled)
             return values
         # keep every worker busy even when one chunk holds most items
-        stride = max(1, -(-n_parallel // (workers * 2)))
-        tasks: List[List[int]] = []
-        for positions in by_chunk.values():
-            for i in range(0, len(positions), stride):
-                tasks.append(positions[i : i + stride])
-
-        def run(positions: List[int]) -> List[Tuple[int, object]]:
-            return [
-                (pos, self._item_value(items[pos], chunks, decode))
-                for pos in positions
-            ]
-
+        stride = max(1, -(-n_items // (workers * 2)))
+        tasks = [
+            (samples, (chunk, positions[i : i + stride], local[i : i + stride]))
+            for chunk, positions, local in runs
+            for i in range(0, len(positions), stride)
+        ] + [
+            (tiled, (plan.tiled[i : i + stride],))
+            for i in range(0, len(plan.tiled), stride)
+        ]
         t0 = time.perf_counter()
         pool = _decode_pool()
-        futures = [pool.submit(run, task) for task in tasks]
+        futures = [pool.submit(fn, *args) for fn, args in tasks]
         try:
             for fut in futures:
-                for pos, value in fut.result():
-                    values[pos] = value
+                fut.result()
         finally:
             for fut in futures:
                 fut.cancel()
         self._h_decode_pool.observe(time.perf_counter() - t0)
-        self._m_parallel_chunks.inc(len(by_chunk))
+        self._m_parallel_chunks.inc(len(runs) + len(plan.tiled))
         return values
 
     def _empty_seq_stack(self) -> np.ndarray:
@@ -1936,25 +2079,31 @@ class ChunkEngine:
 
     def execute_plan(self, plan: ReadPlan, aslist: bool = False,
                      decode: bool = True,
-                     _chunks: Optional[Dict[str, Chunk]] = None) -> List:
+                     _chunks: Optional[Dict[str, Chunk]] = None) -> Column:
         """Run *plan*: fetch missing chunks once, decompress once, slice
         every requested sample out of the decoded buffers.
 
-        Returns one value per planned row, in request order.  With
+        Returns a :class:`Column` with one value per planned row, in
+        request order: a dense typed column when the tensor and plan
+        allow it, per-item decoded values otherwise.  With
         ``decode=False`` values are raw stored payloads (``bytes``) —
         sequence rows become lists of payloads.  ``_chunks`` lets a
         :class:`FusedReadPlan` inject chunks it already fetched in a
         cross-tensor batch.
         """
         with _tracing.span("engine.execute_plan", tensor=self.tensor,
-                           rows=len(plan.rows), chunks=plan.num_chunks):
+                           rows=len(plan.row_array), chunks=plan.num_chunks):
             chunks = (
                 _chunks if _chunks is not None
                 else self._fetch_plan_chunks(plan)
             )
+            pruned = plan.pruned_mask()
+            array = self._dense_column(plan, chunks) if decode else None
+            if array is not None:
+                return Column(array=array, pruned=pruned)
             values = self._plan_item_values(plan, chunks, decode)
         if plan.seq_spans is None:
-            return values
+            return Column(values=values, pruned=pruned)
         out = []
         for start, count in plan.seq_spans:
             items = values[start : start + count]
@@ -1969,10 +2118,10 @@ class ChunkEngine:
                 out.append(np.stack(items))
             else:
                 out.append(items)
-        return out
+        return Column(values=out)
 
     def read_batch(self, rows: Sequence[int], aslist: bool = False,
-                   decode: bool = True) -> List:
+                   decode: bool = True) -> Column:
         """Batched :meth:`read_sample`: one fetch + one decompress per
         chunk, shared by the dataloader, TQL scans, and serving.
 
@@ -1980,11 +2129,12 @@ class ChunkEngine:
         behaviour (header probe + ranged sample read where profitable)
         instead of forcing a full chunk fetch into the cache.
         """
-        rows = list(rows)
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
         if len(rows) == 1 and not self.meta.is_sequence:
-            if decode:
-                return [self.read_sample(rows[0])]
-            return [self.read_raw(rows[0])]
+            row = int(rows[0])
+            value = self.read_sample(row) if decode else self.read_raw(row)
+            return Column(values=[value])
         return self.execute_plan(
             self.plan_reads(rows), aslist=aslist, decode=decode
         )
@@ -2011,29 +2161,27 @@ class ChunkEngine:
         if self.meta.is_sequence or self.meta.is_link:
             return [self.read_shape(i) for i in rows]
         indices = self._normalize_rows(rows)
-        out: List[Tuple[int, ...]] = []
-        shape_src: Dict[str, object] = {}  # chunk name -> Chunk | ChunkHeader
-        for idx in indices:
-            if self.pad_enc.is_padded(idx):
-                out.append(tuple(self.empty_sample().shape))
-                continue
-            if idx in self.tile_enc:
-                out.append(self.tile_enc.layout(idx)[0])
-                continue
-            chunk_id, local = self.enc.translate(idx)
-            name = ChunkIdEncoder.name_from_id(chunk_id)
-            src = shape_src.get(name)
+        out: List[Tuple[int, ...]] = [()] * len(indices)
+        padded, tiled, plain = self._classify_items(indices)
+        if padded is not None:
+            empty = tuple(self.empty_sample().shape)
+            for pos in np.flatnonzero(padded).tolist():
+                out[pos] = empty
+        if tiled is not None:
+            for pos in np.flatnonzero(tiled).tolist():
+                out[pos] = self.tile_enc.layout(int(indices[pos]))[0]
+        for name, positions, local in self._chunk_groups(indices, plain):
+            src = self._mem_chunk(name)
             if src is None:
-                src = self._mem_chunk(name)
-                if src is None:
-                    src = self._cache_peek(self._chunk_storage_key(name))
-                    if src is None:
-                        _key, src = self._load_header(name)
-                shape_src[name] = src
-            if isinstance(src, Chunk):
-                out.append(src.read_shape(local))
+                src = self._cache_peek(self._chunk_storage_key(name))
+            if src is None:
+                _key, header = self._load_header(name)
+                shapes = header.shapes
             else:
-                out.append(src.sample_shape(local))
+                shapes = src.shape_array()
+            for pos, shape in zip(positions.tolist(),
+                                  shapes[local].tolist()):
+                out[pos] = tuple(shape)
         return out
 
     # ------------------------------------------------------------------ #

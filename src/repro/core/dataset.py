@@ -643,7 +643,7 @@ class Dataset:
                     else v
                     for v in values
                 ]
-            out[name] = values
+            out[name] = list(values)
         return out
 
     def __iter__(self):

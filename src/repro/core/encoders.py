@@ -32,7 +32,7 @@ class ChunkIdEncoder:
     def __init__(self):
         self._ids: List[int] = []  # chunk id per row
         self._cum: List[int] = []  # cumulative sample count per row
-        self._cum_arr: Optional[np.ndarray] = None  # lazy search cache
+        self._cum_arr: Optional[np.ndarray] = None  # see _starts()
 
     # -- construction ----------------------------------------------------
 
@@ -85,10 +85,15 @@ class ChunkIdEncoder:
     def num_chunks(self) -> int:
         return len(self._ids)
 
-    def _cum_array(self) -> np.ndarray:
-        if self._cum_arr is None or len(self._cum_arr) != len(self._cum):
-            self._cum_arr = np.asarray(self._cum, dtype=np.uint64)
-        return self._cum_arr
+    def _starts(self) -> np.ndarray:
+        """Lazy search cache: uint64 ``[0, cum_0, cum_1, ...]`` — each
+        encoder row's first sample, then the sample total."""
+        arr = self._cum_arr
+        if arr is None or len(arr) != len(self._cum) + 1:
+            arr = np.zeros(len(self._cum) + 1, dtype=np.uint64)
+            arr[1:] = self._cum
+            self._cum_arr = arr
+        return arr
 
     def _row_for(self, sample_index: int) -> int:
         n = self.num_samples
@@ -96,8 +101,29 @@ class ChunkIdEncoder:
             raise SampleIndexError(
                 f"sample {sample_index} out of range (length {n})"
             )
-        cum = self._cum_array()
-        return int(np.searchsorted(cum, sample_index + 1, side="left"))
+        # a uint64 needle: a Python-int needle makes numpy convert the
+        # whole cumulative array on every lookup
+        cum = self._starts()[1:]
+        return int(np.searchsorted(cum, np.uint64(sample_index + 1),
+                                   side="left"))
+
+    def translate_many(
+        self, samples: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`translate` for an in-range int64 *samples*
+        array: per sample the encoder row (see :meth:`chunk_id_at`) and
+        the local index, from one typed ``searchsorted`` over the cached
+        cumulative counts.  A tiled sample resolves to its first tile's
+        row."""
+        starts = self._starts()
+        needle = samples.astype(np.uint64)
+        rows = np.searchsorted(starts[1:], needle, side="right")
+        return rows, (needle - starts[rows]).astype(np.int64)
+
+    def chunk_id_at(self, row: int) -> int:
+        """Chunk id of encoder row *row* (as returned by
+        :meth:`translate_many`)."""
+        return self._ids[row]
 
     def chunk_id_for(self, sample_index: int) -> int:
         return self._ids[self._row_for(sample_index)]
@@ -211,6 +237,18 @@ class SequenceEncoder:
         start = self._cum[sample_index - 1] if sample_index > 0 else 0
         return int(start), int(self._cum[sample_index])
 
+    def item_ranges(
+        self, samples: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`item_range` for in-range *samples*: int64
+        arrays of item starts and ends."""
+        cum = np.asarray(self._cum, dtype=np.int64)
+        ends = cum[samples]
+        starts = np.zeros(len(samples), dtype=np.int64)
+        inner = samples > 0
+        starts[inner] = cum[samples[inner] - 1]
+        return starts, ends
+
     def tobytes(self) -> bytes:
         arr = np.asarray(self._cum, dtype=np.uint64)
         return _MAGIC + struct.pack("<I", len(self._cum)) + arr.tobytes()
@@ -249,6 +287,11 @@ class PadEncoder:
 
     def indices(self) -> List[int]:
         return sorted(self._padded)
+
+    def index_array(self) -> np.ndarray:
+        """Padded indices as a sorted int64 array (for vectorized
+        membership tests)."""
+        return np.asarray(self.indices(), dtype=np.int64)
 
     def tobytes(self) -> bytes:
         arr = np.asarray(sorted(self._padded), dtype=np.uint64)
@@ -292,6 +335,12 @@ class TileEncoder:
     @property
     def num_tiled(self) -> int:
         return len(self._layouts)
+
+    def index_array(self) -> np.ndarray:
+        """Tiled sample indices as an int64 array (for vectorized
+        membership tests)."""
+        return np.fromiter(self._layouts, dtype=np.int64,
+                           count=len(self._layouts))
 
     def tobytes(self) -> bytes:
         return json_dumps({str(k): v for k, v in self._layouts.items()})

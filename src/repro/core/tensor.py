@@ -135,8 +135,17 @@ class Tensor:
         engine = self.engine
         rows = self.index.row_indices(engine.num_samples)
         # one ReadPlan for the whole view: chunks fetched/decoded once
+        column = engine.read_batch(rows)
+        if (
+            column.array is not None
+            and len(rows) > 0
+            and not aslist
+            and not self.index.is_single_sample
+            and not self.index.sub_entries
+        ):
+            return column.array  # the stacked samples, already typed
         samples = []
-        for sample in engine.read_batch(rows):
+        for sample in column:
             if isinstance(sample, np.ndarray):
                 sample = self.index.apply_sub(sample)
             samples.append(sample)

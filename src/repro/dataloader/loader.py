@@ -311,6 +311,15 @@ class DeepLakeLoader:
         # overhead and keeps workers on one chunk at a time (locality)
         group_size = max(1, min(self.batch_size, inflight, 16))
         groups = group_indices(rows, group_size)
+        # every worker keeps prefetch_factor groups queued, as far as the
+        # memory budget allows (counting samples instead would leave one
+        # group in flight and the other workers idle)
+        inflight_groups = compute_inflight_limit(
+            self.num_workers,
+            self.prefetch_factor,
+            self._sample_nbytes() * group_size,
+            self.memory_budget_bytes,
+        )
         priority_of = (
             self._make_priority_fn(groups) if self.num_workers else None
         )
@@ -319,7 +328,7 @@ class DeepLakeLoader:
             groups,
             self._fetch_group,
             num_workers=self.num_workers,
-            inflight_limit=max(1, inflight // group_size),
+            inflight_limit=inflight_groups,
             priority_of=priority_of,
             queue_gauge=self._g_queue,
         )

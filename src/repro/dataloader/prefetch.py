@@ -202,8 +202,9 @@ def prefetched(
 ) -> Iterator[Dict]:
     """Yield ``fetch(i)`` results in input order with bounded lookahead.
 
-    Workers run ahead by up to *inflight_limit* samples; consumption order
-    is preserved so batches are deterministic given the order plan.
+    Workers run ahead by up to *inflight_limit* items (the loader's items
+    are worker groups); consumption order is preserved so batches are
+    deterministic given the order plan.
 
     *queue_gauge* (an :class:`repro.obs.metrics.Gauge`, optional) tracks
     the number of in-flight prefetch tasks so a metrics snapshot shows

@@ -598,10 +598,11 @@ class DatasetServer:
                         f"tensor {name!r} holds ragged sequence samples; "
                         "read_batch serves fixed ndarray samples only"
                     )
-                arr = np.ascontiguousarray(value)
+                # tobytes() emits C order for any layout, and keeps 0-d
+                # samples 0-d (np.ascontiguousarray would make them 1-d)
                 triples.append(
-                    (arr.dtype.str, tuple(int(x) for x in arr.shape),
-                     arr.tobytes())
+                    (value.dtype.str, tuple(int(x) for x in value.shape),
+                     value.tobytes())
                 )
             columns[name] = tuple(triples)
         tenant.inc("samples_served",

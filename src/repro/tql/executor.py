@@ -1,13 +1,16 @@
 """Executor of TQL plans: runs the tensor-op graph over dataset rows.
 
 With optimisation on (the default), execution is *columnar*: rows are
-walked in scan batches, every referenced column is prefetched through
-one chunk-granular :class:`~repro.core.chunk_engine.ReadPlan` per batch,
-and the node graph is evaluated by the vectorized kernels of
-:mod:`repro.tql.kernels` over whole column batches — WHERE becomes a
-boolean mask, ORDER BY / SAMPLE BY / GROUP BY key evaluation rides the
-same scan cache (no per-cell storage reads anywhere), and aggregates
-reduce per batch with partials merged across batches.  The WHERE clause
+walked as int64 arrays in scan windows, every referenced column is read
+through one chunk-granular :class:`~repro.core.chunk_engine.ReadPlan`
+per window into the scan cache — ``tensor -> Column``: the typed
+ndarray column (or per-row values for ragged/text data) plus the
+pushdown mask, aligned with the window — and the node graph is
+evaluated by the vectorized kernels of :mod:`repro.tql.kernels` over
+those columns.  WHERE becomes a boolean mask (pruned rows dropped by
+mask, survivors emitted with ``np.flatnonzero``), ORDER BY on dense
+scalar keys is a numpy stable argsort, and GROUP BY streams per-group
+partial aggregates keyed with ``np.unique``.  The WHERE clause
 additionally compiles to per-column value intervals
 (:func:`~repro.tql.kernels.column_bounds`) that
 :meth:`~repro.core.chunk_engine.ChunkEngine.plan_reads` checks against
@@ -35,7 +38,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.chunk_engine import (
-    PRUNED,
+    Column,
     FusedReadPlan,
     read_pipeline_enabled,
 )
@@ -89,8 +92,9 @@ class Executor:
         #: chunks proven irrelevant by statistics pushdown (zero GETs)
         self.chunks_skipped = 0
         self.scan_batch_rows = max(1, int(scan_batch_rows))
-        #: tensor -> {row: raw engine value} filled by batched scans
-        self._scan_cache: Dict[str, Dict[int, object]] = {}
+        #: tensor -> Column of the current scan window (values and
+        #: pushdown mask aligned with the window's rows)
+        self._scan_cache: Dict[str, Column] = {}
         ds_label = str(getattr(ds, "path", "") or "dataset")
         self._m_rows_scanned = _metrics.counter(
             "tql.rows_scanned", dataset=ds_label
@@ -132,26 +136,38 @@ class Executor:
 
     def _read_cell(self, tensor: str, row: int):
         engine = self.ds._engine(tensor)
-        cached = self._scan_cache.get(tensor)
-        if cached is not None and row in cached:
-            value = cached[row]
-            if value is PRUNED:
-                return PRUNED
-            self.cache_hits += 1
-            self._m_cache_hits.inc()
-            return self._decode_cell(engine, value)
         self.cells_fetched += 1
         self._m_cells_fetched.inc()
         return self._decode_cell(engine, engine.read_sample(row))
 
-    def _prefetch_columns(self, tensors: List[str], rows: List[int],
+    def _column(self, tensor: str, rows: np.ndarray,
+                sel: Optional[np.ndarray]):
+        """Column of *tensor* over *rows* — the scan window's rows, or the
+        window positions *sel* of them — straight from the scan cache;
+        per-row reads when the window was not prefetched."""
+        cached = self._scan_cache.get(tensor)
+        if cached is None:
+            return kernels._pack(
+                [self._read_cell(tensor, r) for r in rows.tolist()]
+            )
+        self.cache_hits += len(rows)
+        self._m_cache_hits.inc(len(rows))
+        if cached.array is not None:
+            return cached.array if sel is None else cached.array[sel]
+        values = cached.tolist()
+        if sel is not None:
+            values = [values[i] for i in sel.tolist()]
+        engine = self.ds._engine(tensor)
+        return kernels._pack([self._decode_cell(engine, v) for v in values])
+
+    def _prefetch_columns(self, tensors: List[str], rows: np.ndarray,
                           bounds: Optional[dict] = None) -> None:
-        """One ReadPlan per column for this batch of rows: each chunk is
-        fetched and decompressed once, then cells come from memory.
+        """One ReadPlan per column for this window of rows: each chunk is
+        fetched and decompressed once, then columns come from memory.
 
         *bounds* (tensor -> interval list) enables statistics pushdown:
         chunks that cannot satisfy the WHERE predicate are skipped with
-        zero GETs and their rows cached as the :data:`PRUNED` sentinel.
+        zero GETs and their rows flagged in the column's pruned mask.
         Only storage/decode failures degrade to per-row reads (counted
         in ``tql.prefetch_fallbacks``); programming errors propagate.
         """
@@ -168,14 +184,14 @@ class Executor:
                 tensor_bounds = bounds.get(tensor) if bounds else None
                 try:
                     plan = engine.plan_reads(rows, bounds=tensor_bounds)
-                    values = engine.execute_plan(plan)
+                    column = engine.execute_plan(plan)
                 except (StorageError, FormatError):
                     self.prefetch_fallbacks += 1
                     self._m_prefetch_fallbacks.inc()
                     continue
-                self._absorb_scan(tensor, plan, rows, values)
+                self._absorb_scan(tensor, plan, column)
 
-    def _prefetch_fused(self, tensors: List[str], rows: List[int],
+    def _prefetch_fused(self, tensors: List[str], rows: np.ndarray,
                         bounds: Optional[dict]) -> bool:
         """Fused scan window: one plan per column merged into ONE storage
         ``get_many`` across all of them (chunk-stats pushdown still
@@ -194,24 +210,25 @@ class Executor:
             columns = fused.execute()
         except (StorageError, FormatError):
             return False
-        for (tensor, plan), values in zip(plans, columns):
-            self._absorb_scan(tensor, plan, rows, values)
+        for (tensor, plan), column in zip(plans, columns):
+            self._absorb_scan(tensor, plan, column)
         return True
 
-    def _absorb_scan(self, tensor: str, plan, rows: List[int],
-                     values: List) -> None:
+    def _absorb_scan(self, tensor: str, plan, column: Column) -> None:
         if plan.skipped_chunks:
             self.chunks_skipped += len(plan.skipped_chunks)
             self._m_chunks_skipped.inc(len(plan.skipped_chunks))
-        fetched = sum(1 for v in values if v is not PRUNED)
+        fetched = len(column)
+        if column.pruned is not None:
+            fetched -= int(column.pruned.sum())
         self.cells_fetched += fetched
         self._m_cells_fetched.inc(fetched)
-        self._scan_cache[tensor] = dict(zip(rows, values))
+        self._scan_cache[tensor] = column
 
     def _clear_prefetched(self) -> None:
         self._scan_cache.clear()
 
-    def _scan_batches(self, rows: List[int]):
+    def _scan_batches(self, rows: np.ndarray):
         step = self.scan_batch_rows
         for i in range(0, len(rows), step):
             yield rows[i : i + step]
@@ -293,111 +310,121 @@ class Executor:
     # batched evaluation helpers (the vectorized path)
     # ------------------------------------------------------------------ #
 
-    def _eval_rows(self, node: Node, rows: List[int]) -> List:
-        """Per-row values of *node* for many rows, batch-prefetching the
-        columns it reads — ORDER BY / SAMPLE BY keys cost one GET per
-        chunk, not one per cell."""
+    def _eval_rows(self, node: Node, rows: np.ndarray):
+        """Values of *node* for many rows, window-prefetching the columns
+        it reads — ORDER BY / SAMPLE BY keys cost one GET per chunk, not
+        one per cell.  A dense ndarray column when every window is dense
+        and alike, else a per-row list."""
         if not self.plan.optimize:
-            return [self.eval_node(node, r, {}) for r in rows]
+            return [self.eval_node(node, r, {}) for r in rows.tolist()]
         columns = _node_columns([node])
-        out: List = []
-        for batch in self._scan_batches(list(rows)):
+        parts = []
+        for batch in self._scan_batches(rows):
             if columns:
                 self._prefetch_columns(columns, batch)
             t0 = time.perf_counter()
-            evaluator = kernels.BatchEvaluator(self, batch)
-            out.extend(evaluator.values(node))
+            parts.append(kernels.BatchEvaluator(self, batch).column(node))
             self._h_kernel.observe(time.perf_counter() - t0)
             self._clear_prefetched()
-        return out
-
-    def _row_pruned(self, row: int, bounds: dict) -> bool:
-        """True when statistics pushdown proved *row* cannot match: some
-        bounded column's cell sits in a chunk whose [min, max] misses the
-        predicate's necessary interval."""
-        for tensor in bounds:
-            cached = self._scan_cache.get(tensor)
-            if cached is not None and cached.get(row) is PRUNED:
-                return True
-        return False
+        return kernels.concat_columns(parts)
 
     # ------------------------------------------------------------------ #
     # stages
     # ------------------------------------------------------------------ #
 
-    def source_rows(self) -> List[int]:
+    def source_rows(self) -> np.ndarray:
         engine_lengths = [
             self.ds._engine(name).num_samples
             for name in self.ds._meta.visible_tensors
         ]
         length = min(engine_lengths) if engine_lengths else 0
-        return self.ds.index.row_indices(length)
+        rows = self.ds.index.row_sequence(length)
+        if isinstance(rows, range):
+            return np.arange(rows.start, rows.stop, rows.step, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64)
 
-    def filter_rows(self, rows: List[int]) -> List[int]:
+    def filter_rows(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
         if plan.where_node is None:
-            return list(rows)
+            return rows
         if not plan.optimize:
             out = []
             with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-                for batch in self._scan_batches(list(rows)):
+                for batch in self._scan_batches(rows):
                     self._m_scan_windows.inc()
                     self._h_window_rows.observe(len(batch))
-                    for row in batch:
+                    for row in batch.tolist():
                         memo: Dict[int, object] = {}
                         self.rows_scanned += 1
                         self._m_rows_scanned.inc()
                         if _truthy(self.eval_node(plan.where_node, row, memo)):
                             out.append(row)
                 sp.set(kept=len(out))
-            return out
+            return np.asarray(out, dtype=np.int64)
 
         columns = plan.filter_columns()
         bounds = kernels.column_bounds(plan.where_node)
         out = []
         with _tracing.span("tql.filter_rows", rows=len(rows)) as sp:
-            for batch in self._scan_batches(list(rows)):
+            for batch in self._scan_batches(rows):
                 self._m_scan_windows.inc()
                 self._h_window_rows.observe(len(batch))
                 self.rows_scanned += len(batch)
                 self._m_rows_scanned.inc(len(batch))
                 if columns:
                     self._prefetch_columns(columns, batch, bounds=bounds)
-                survivors = batch
-                if bounds:
-                    survivors = [
-                        r for r in batch if not self._row_pruned(r, bounds)
-                    ]
-                if survivors:
+                # statistics pushdown proved these rows cannot match
+                pruned = None
+                for tensor in bounds:
+                    cached = self._scan_cache.get(tensor)
+                    if cached is not None and cached.pruned is not None:
+                        pruned = (cached.pruned if pruned is None
+                                  else pruned | cached.pruned)
+                sel = None if pruned is None else np.flatnonzero(~pruned)
+                survivors = batch if sel is None else batch[sel]
+                if len(survivors):
                     t0 = time.perf_counter()
-                    evaluator = kernels.BatchEvaluator(self, survivors)
+                    evaluator = kernels.BatchEvaluator(self, survivors, sel)
                     mask = evaluator.mask(plan.where_node)
                     self._h_kernel.observe(time.perf_counter() - t0)
-                    out.extend(r for r, m in zip(survivors, mask) if m)
+                    out.append(survivors[np.flatnonzero(mask)])
                 self._clear_prefetched()
-            sp.set(kept=len(out), pruned_chunks=self.chunks_skipped)
-        return out
+            kept = np.concatenate(out) if out else rows[:0]
+            sp.set(kept=len(kept), pruned_chunks=self.chunks_skipped)
+        return kept
 
-    def order_rows(self, rows: List[int]) -> List[int]:
+    def _sort_order(self, node: Node, rows: np.ndarray,
+                    ascending: bool) -> np.ndarray:
+        """Stable sort permutation of *rows* by *node*.  Dense scalar keys
+        sort as float64 with a numpy stable argsort — exactly the order
+        :func:`_stable_argsort` gives their :func:`_sort_token`\\ s,
+        descending keeping ties in input order — anything else (arrays,
+        strings, NaN keys) goes through :func:`_stable_argsort`."""
+        values = self._eval_rows(node, rows)
+        if (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype.kind in "biuf"):
+            keys = values.astype(np.float64)
+            if not np.isnan(keys).any():
+                return np.argsort(keys if ascending else -keys, kind="stable")
+        return np.asarray(_stable_argsort(list(values), ascending),
+                          dtype=np.intp)
+
+    def order_rows(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
         if not plan.order_nodes and not plan.arrange_nodes:
             return rows
         keyed = rows
         # ORDER BY: stable sorts applied from the last key to the first
         for node, ascending in reversed(plan.order_nodes):
-            values = self._eval_rows(node, keyed)
-            order = _stable_argsort(values, ascending)
-            keyed = [keyed[i] for i in order]
+            keyed = keyed[self._sort_order(node, keyed, ascending)]
         # ARRANGE BY: stable grouping of the (already ordered) result
         for node in reversed(plan.arrange_nodes):
-            values = self._eval_rows(node, keyed)
-            order = _stable_argsort(values, True)
-            keyed = [keyed[i] for i in order]
+            keyed = keyed[self._sort_order(node, keyed, True)]
         return keyed
 
-    def sample_rows(self, rows: List[int]) -> List[int]:
+    def sample_rows(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
-        if plan.sample_node is None or not rows:
+        if plan.sample_node is None or not len(rows):
             return rows
         weights = np.asarray(
             [
@@ -417,9 +444,9 @@ class Executor:
         chosen = self.rng.choice(
             len(rows), size=k, replace=plan.sample_replace, p=probs
         )
-        return [rows[int(i)] for i in chosen]
+        return rows[chosen]
 
-    def paginate(self, rows: List[int]) -> List[int]:
+    def paginate(self, rows: np.ndarray) -> np.ndarray:
         plan = self.plan
         start = plan.offset
         stop = None if plan.limit is None else start + plan.limit
@@ -436,7 +463,7 @@ class Executor:
         if not plan.optimize:
             # ablation mode: no pushdown — evaluate every projection for
             # every source row before filtering
-            for row in rows:
+            for row in rows.tolist():
                 memo: Dict[int, object] = {}
                 for _name, node in plan.projections:
                     self.eval_node(node, row, memo)
@@ -456,11 +483,11 @@ class Executor:
             return self._view(rows, query_string, tensor_filter=names)
         return self._materialize_projections(rows, query_string)
 
-    def _view(self, rows: List[int], query_string: str,
+    def _view(self, rows: np.ndarray, query_string: str,
               tensor_filter: Optional[List[str]]):
         from repro.core.index import Index
 
-        view = self.ds._spawn(index=Index([list(rows)]))
+        view = self.ds._spawn(index=Index([rows.tolist()]))
         view.query_string = query_string
         if tensor_filter is not None:
             view._tensor_filter = list(tensor_filter)
@@ -491,7 +518,7 @@ class Executor:
                 create_id_tensor=False,
             )
 
-    def _materialize_projections(self, rows: List[int], query_string: str):
+    def _materialize_projections(self, rows: np.ndarray, query_string: str):
         import repro as _api
 
         plan = self.plan
@@ -499,7 +526,7 @@ class Executor:
         out.query_string = query_string
         created = False
         columns = plan.projection_columns() if plan.optimize else []
-        for batch in self._scan_batches(list(rows)):
+        for batch in self._scan_batches(rows):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
             if columns:
@@ -518,7 +545,7 @@ class Executor:
                 ]
             else:
                 batch_rows = []
-                for row in batch:
+                for row in batch.tolist():
                     memo: Dict[int, object] = {}
                     batch_rows.append({
                         name: self.eval_node(node, row, memo)
@@ -547,35 +574,30 @@ class Executor:
         out.flush()
         return out
 
-    def _vectorized_groups(self, rows: List[int]) -> List[Dict[str, object]]:
-        """Streaming GROUP BY: per batch, keys and aggregate inputs come
-        from one kernel pass over prefetched columns; per-group partials
-        merge across batches (O(chunks) GETs, O(groups) memory plus one
-        scalar per row for the reduced aggregates)."""
+    def _vectorized_groups(self, rows: np.ndarray) -> List[Dict[str, object]]:
+        """Streaming GROUP BY: per window, keys and aggregate inputs come
+        from one kernel pass over the prefetched columns and reduce to
+        per-group partials merged across windows (O(chunks) GETs,
+        O(groups) memory)."""
         plan = self.plan
         nodes = list(plan.group_nodes) + [
             node for _n, _a, node in plan.agg_projections if node is not None
         ]
         columns = _node_columns(nodes)
         accumulator = kernels.GroupAccumulator(plan.agg_projections)
-        for batch in self._scan_batches(list(rows)):
+        for batch in self._scan_batches(rows):
             self._m_scan_windows.inc()
             self._h_window_rows.observe(len(batch))
             if columns:
                 self._prefetch_columns(columns, batch)
             t0 = time.perf_counter()
             evaluator = kernels.BatchEvaluator(self, batch)
-            key_cols = [evaluator.values(n) for n in plan.group_nodes]
-            keys = [
-                tuple(_group_key(col[i]) for col in key_cols)
-                for i in range(len(batch))
-            ]
-            accumulator.add_batch(keys, accumulator.batch_inputs(evaluator))
+            accumulator.add_batch(evaluator, plan.group_nodes)
             self._h_kernel.observe(time.perf_counter() - t0)
             self._clear_prefetched()
         return [values for _key, values in accumulator.finalize()]
 
-    def _materialize_groups(self, rows: List[int], query_string: str):
+    def _materialize_groups(self, rows: np.ndarray, query_string: str):
         import repro as _api
 
         plan = self.plan
@@ -585,7 +607,7 @@ class Executor:
             from repro.tql.functions import get_agg_function
 
             groups: Dict[tuple, List[int]] = {}
-            for row in rows:
+            for row in rows.tolist():
                 memo: Dict[int, object] = {}
                 key = tuple(
                     _group_key(self.eval_node(node, row, memo))

@@ -19,10 +19,10 @@ The module also hosts:
 - :func:`column_bounds`, the predicate-pushdown analysis that turns a
   WHERE tree into necessary-condition value intervals per column — the
   input to :meth:`ChunkEngine.plan_reads`'s statistics pruning;
-- :class:`GroupAccumulator`, streaming GROUP BY state: each batch
-  reduces to per-row scalars with one numpy reduction, partials merge
-  across batches, and the registered aggregate functions finalise so
-  results match the row-at-a-time path exactly.
+- :class:`GroupAccumulator`, streaming GROUP BY state: each window's
+  keys factorize with ``np.unique``, aggregates reduce to per-group
+  partials (count/sum/min/max, squared deviations for STD) with one
+  numpy ``reduceat`` each, and partials merge across windows.
 """
 
 from __future__ import annotations
@@ -146,6 +146,21 @@ def _is_dense(col) -> bool:
     return isinstance(col, np.ndarray) and col.dtype != object
 
 
+def concat_columns(parts: List):
+    """Join per-window columns: one ndarray when every part is dense
+    with the same dtype and trailing shape, else one per-row list."""
+    if parts and all(
+        _is_dense(p) and p.dtype == parts[0].dtype
+        and p.shape[1:] == parts[0].shape[1:]
+        for p in parts
+    ):
+        return np.concatenate(parts)
+    out: List = []
+    for part in parts:
+        out.extend(part)
+    return out
+
+
 def _align_trailing(x: np.ndarray, rank: int) -> np.ndarray:
     """Insert singleton dims after the row axis so *x*'s trailing rank is
     at least *rank* — this makes column-vs-column / column-vs-const
@@ -165,16 +180,23 @@ class BatchEvaluator:
 
     - :meth:`mask` — boolean row mask (the WHERE path), applying the
       same all-elements/empty-is-false reduction as the scalar kernels;
-    - :meth:`values` — per-row values (ORDER/SAMPLE keys, projections,
-      group keys), matching ``eval_node`` row semantics;
+    - :meth:`values` — per-row values (projections), matching
+      ``eval_node`` row semantics;
+    - :meth:`column` — the same values as a dense ndarray when the
+      kernel produced one (ORDER/SAMPLE/GROUP keys);
     - :meth:`reduced` — per-row scalar reductions feeding GROUP BY.
+
+    *rows* are the executor's current scan window, or the window
+    positions *sel* of it (rows surviving pushdown); column leaves are
+    taken straight from the executor's scan cache.
     """
 
     _REDUCERS = {"MEAN": np.mean, "SUM": np.sum, "MIN": np.min, "MAX": np.max}
 
-    def __init__(self, executor, rows: List[int]):
+    def __init__(self, executor, rows, sel: Optional[np.ndarray] = None):
         self.ex = executor
-        self.rows = list(rows)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.sel = sel
         self.n = len(self.rows)
         self._memo: Dict[int, object] = {}
         self._dispatch = {
@@ -196,6 +218,12 @@ class BatchEvaluator:
 
     def values(self, node: Node) -> List:
         return self._tolist(self.eval(node))
+
+    def column(self, node: Node):
+        """Per-row values of *node*: the dense ndarray column when the
+        kernels produced one, else a per-row list."""
+        col = self.eval(node)
+        return col if _is_dense(col) else self._tolist(col)
 
     def reduced(self, node: Node, kind: str):
         """Per-row scalarisation for aggregate *kind* (STD reduces like
@@ -247,12 +275,10 @@ class BatchEvaluator:
         return _Const(node.value)
 
     def _eval_column(self, node: ColumnNode):
-        ex = self.ex
-        return _pack([ex._read_cell(node.tensor, r) for r in self.rows])
+        return self.ex._column(node.tensor, self.rows, self.sel)
 
     def _eval_shape(self, node: ShapeNode):
-        ex = self.ex
-        return _pack([ex._read_cell(node.shape_tensor, r) for r in self.rows])
+        return self.ex._column(node.shape_tensor, self.rows, self.sel)
 
     def _eval_random(self, node: RandomNode):
         return self.ex.rng.random(self.n)
@@ -592,65 +618,156 @@ def column_bounds(node: Optional[Node]) -> Dict[str, List[Interval]]:
 # ---------------------------------------------------------------------------
 
 
-class GroupAccumulator:
-    """Merges per-batch aggregate partials into final group rows.
+def _factorize(col, n: int) -> Tuple[List, np.ndarray]:
+    """``(distinct group keys, per-row codes into them)`` of one key
+    column, keys exactly as :func:`_group_key` builds them per row.
 
-    Each batch contributes per-row *scalars* (computed by
-    :meth:`BatchEvaluator.reduced` with one numpy reduction per batch);
-    the registered aggregate function then finalises over the collected
-    scalars, which reproduces the row-at-a-time semantics exactly: MEAN
-    is the mean of per-row means, SUM the sum of per-row sums, STD the
-    spread of per-row means, and so on.
+    Dense numeric keys go through ``np.unique``; float columns holding
+    NaN or -0.0 (whose per-row keys never merge, or merge under a
+    sign-dependent spelling) and everything else through a
+    first-appearance dict over the per-row keys.
+    """
+    if _is_dense(col) and col.dtype.kind in "biuf" and col.size:
+        flat = col.reshape(n, -1)
+        if flat.shape[1] and not (
+            col.dtype.kind == "f"
+            and (np.isnan(flat).any() or np.signbit(flat[flat == 0]).any())
+        ):
+            if flat.shape[1] == 1:
+                uniq, codes = np.unique(flat[:, 0], return_inverse=True)
+                keys = [(v,) for v in uniq.tolist()]
+            else:
+                uniq, codes = np.unique(flat, axis=0, return_inverse=True)
+                keys = [tuple(row) for row in uniq.tolist()]
+            return keys, codes.reshape(-1)
+    index: Dict = {}
+    codes = np.fromiter(
+        (index.setdefault(_group_key(v), len(index)) for v in col),
+        dtype=np.intp, count=n,
+    )
+    return list(index), codes
+
+
+def _factorize_keys(cols: List, n: int) -> Tuple[List[tuple], np.ndarray]:
+    """Group key tuples and per-row group codes over several key
+    columns (every code in ``range(len(keys))`` is used)."""
+    parts = [_factorize(col, n) for col in cols]
+    if len(parts) == 1:
+        keys, codes = parts[0]
+        return [(k,) for k in keys], codes
+    stacked = np.stack([codes for _keys, codes in parts], axis=1)
+    uniq, codes = np.unique(stacked, axis=0, return_inverse=True)
+    keys = [
+        tuple(parts[j][0][c] for j, c in enumerate(row))
+        for row in uniq.tolist()
+    ]
+    return keys, codes.reshape(-1)
+
+
+class GroupAccumulator:
+    """Streaming GROUP BY state: per-group partial aggregates.
+
+    Each window's key columns factorize into group codes, one stable sort
+    by code splits the window into per-group segments, and every
+    aggregate reduces each segment to a partial with one numpy
+    ``reduceat``: a count, a sum, a min, a max, and for STD the sum of
+    squared deviations from the segment mean (windows merge with Chan's
+    update).  Aggregates consume per-row scalars
+    (:meth:`BatchEvaluator.reduced`) as the row-at-a-time path does —
+    MEAN is the mean of per-row means, SUM the sum of per-row sums, STD
+    the spread of per-row means — so results match it up to float
+    rounding.  FIRST keeps the first row's value; any other registered
+    aggregate collects raw per-row values for its own finalizer.
     """
 
-    _SCALARIZED = ("MEAN", "SUM", "MIN", "MAX", "STD")
+    _REDUCED = ("MEAN", "SUM", "MIN", "MAX", "STD")
 
     def __init__(self, agg_projections):
         #: (output name, aggregate name, node-or-None) per projection
         self.aggs = list(agg_projections)
+        #: group key tuple -> one partial dict per aggregate
         self._state: Dict[tuple, List[dict]] = {}
 
-    def batch_inputs(self, ev: BatchEvaluator) -> List:
-        """Per-aggregate batch columns: scalar reductions where the
-        aggregate consumes them, raw per-row values otherwise."""
-        out = []
-        for _name, agg, node in self.aggs:
-            if node is None or agg == "COUNT":
-                out.append(None)
-            elif agg in self._SCALARIZED:
-                out.append(ev.reduced(node, agg))
-            else:  # FIRST and any custom aggregate: raw row values
-                out.append(ev.values(node))
-        return out
-
-    def add_batch(self, keys: List[tuple], agg_values: List) -> None:
-        by_key: Dict[tuple, List[int]] = {}
-        for i, key in enumerate(keys):
-            by_key.setdefault(key, []).append(i)
-        for key, idx in by_key.items():
+    def add_batch(self, ev: BatchEvaluator, group_nodes) -> None:
+        keys, codes = _factorize_keys(
+            [ev.column(node) for node in group_nodes], ev.n
+        )
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = np.flatnonzero(
+            np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
+        )
+        counts = np.diff(np.r_[starts, ev.n])
+        partials = [
+            self._window_partial(ev, agg, node, order, starts, counts)
+            for _name, agg, node in self.aggs
+        ]
+        for g, key in enumerate(keys):
             state = self._state.get(key)
             if state is None:
-                state = [{} for _ in self.aggs]
-                self._state[key] = state
-            for part, (_name, agg, node), vals in zip(
-                state, self.aggs, agg_values
+                state = self._state[key] = [{} for _ in self.aggs]
+            for part, (_name, agg, _node), window in zip(
+                state, self.aggs, partials
             ):
-                self._merge(part, agg, node, idx, vals)
+                self._merge(part, agg, window, g)
 
-    def _merge(self, part: dict, agg: str, node, idx: List[int],
-               vals) -> None:
+    def _window_partial(self, ev: BatchEvaluator, agg: str, node,
+                        order: np.ndarray, starts: np.ndarray,
+                        counts: np.ndarray) -> dict:
+        """Per-group partial of one aggregate over one window, as arrays
+        (or lists) indexed by group code."""
         if node is None or agg == "COUNT":
-            part["n"] = part.get("n", 0) + len(idx)
-            return
+            return {"n": counts}
         if agg == "FIRST":
+            col = ev.column(node)
+            return {"v": [col[i] for i in order[starts].tolist()]}
+        if agg not in self._REDUCED:
+            vals = ev.values(node)
+            return {"vals": [
+                [vals[i] for i in seg]
+                for seg in np.split(order, starts[1:])
+            ]}
+        vals = np.asarray(ev.reduced(node, agg))[order]
+        if agg in ("MIN", "MAX"):
+            ufunc = np.minimum if agg == "MIN" else np.maximum
+            return {"v": ufunc.reduceat(vals, starts)}
+        exact = vals.dtype.kind in "biu" and agg == "SUM"
+        vals = vals.astype(np.int64 if exact else np.float64)
+        sums = np.add.reduceat(vals, starts)
+        if agg != "STD":
+            return {"n": counts, "s": sums}
+        mean = sums / counts
+        dev = vals - np.repeat(mean, counts)
+        return {"n": counts, "mean": mean,
+                "m2": np.add.reduceat(dev * dev, starts)}
+
+    @staticmethod
+    def _merge(part: dict, agg: str, window: dict, g: int) -> None:
+        if agg in ("MIN", "MAX"):
+            v = window["v"][g]
+            if "v" in part:  # numpy ufuncs keep NaN propagation
+                v = (np.minimum if agg == "MIN" else np.maximum)(part["v"], v)
+            part["v"] = v
+        elif agg == "FIRST":
             if "v" not in part:
-                part["v"] = vals[idx[0]]
-            return
-        take = (
-            vals[idx] if isinstance(vals, np.ndarray)
-            else [vals[i] for i in idx]
-        )
-        part.setdefault("vals", []).extend(take)
+                part["v"] = window["v"][g]
+        elif "vals" in window:
+            part.setdefault("vals", []).extend(window["vals"][g])
+        elif "m2" in window:  # Chan et al. pairwise variance update
+            nb, mb, m2b = int(window["n"][g]), window["mean"][g], window["m2"][g]
+            na = part.get("n", 0)
+            if not na:
+                part.update(n=nb, mean=mb, m2=m2b)
+                return
+            n = na + nb
+            delta = mb - part["mean"]
+            part["mean"] += delta * nb / n
+            part["m2"] += m2b + delta * delta * na * nb / n
+            part["n"] = n
+        else:
+            part["n"] = part.get("n", 0) + int(window["n"][g])
+            if "s" in window:
+                part["s"] = part.get("s", 0) + window["s"][g].item()
 
     def finalize(self) -> List[Tuple[tuple, Dict[str, object]]]:
         """Group rows as ``(key, {output name: value})``, ordered the
@@ -665,6 +782,14 @@ class GroupAccumulator:
                     values[name] = part.get("n", 0)
                 elif agg == "FIRST":
                     values[name] = part.get("v")
+                elif agg == "MEAN":
+                    values[name] = float(part["s"] / part["n"])
+                elif agg == "SUM":
+                    values[name] = float(part["s"])
+                elif agg in ("MIN", "MAX"):
+                    values[name] = float(part["v"])
+                elif agg == "STD":
+                    values[name] = float(np.sqrt(part["m2"] / part["n"]))
                 else:
                     values[name] = get_agg_function(agg)(
                         part.get("vals", [])

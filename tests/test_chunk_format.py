@@ -116,6 +116,34 @@ class TestChunk:
             bytes(p) for p in payloads
         ]
 
+    def test_dense_samples_only_for_uniform_chunks(self):
+        arrs = [np.full((2, 3), i, dtype=np.int16) for i in range(4)]
+        c = Chunk(dtype="int16")
+        for a in arrs:
+            c.append(a.tobytes(), a.shape)
+        for chunk in (c, Chunk.frombytes(c.tobytes())):
+            view = chunk.dense_samples(np.dtype(np.int16), (2, 3))
+            assert view.shape == (4, 2, 3)
+            assert np.array_equal(view, np.stack(arrs))
+            assert chunk.dense_samples(np.dtype(np.int16), (3, 2)) is None
+            assert chunk.dense_samples(np.dtype(np.int32), (2, 3)) is None
+        ragged = Chunk(dtype="int16")
+        ragged.append(np.zeros(6, np.int16).tobytes(), (6,))
+        ragged.append(np.zeros(0, np.int16).tobytes(), (0,))
+        ragged.append(np.zeros(6, np.int16).tobytes(), (6,))
+        assert ragged.dense_samples(np.dtype(np.int16), (6,)) is None
+
+    def test_decoded_chunk_thaws_on_write(self):
+        c = Chunk(dtype="uint8")
+        c.append(b"ab", (2,))
+        c.append(b"cde", (3,))
+        out = Chunk.frombytes(c.tobytes())
+        assert out.read_shape(1) == (3,)  # served from the header arrays
+        out.append(b"f", (1,))
+        out.truncate(2, 5)
+        assert out.shapes == [(2,), (3,)]
+        assert [out.read_bytes(i) for i in range(2)] == [b"ab", b"cde"]
+
 
 class TestChunkIdEncoder:
     def test_register_and_translate(self):
@@ -154,6 +182,18 @@ class TestChunkIdEncoder:
         assert enc.translate(3) == (2, 0)
         assert not enc.is_tiled(0)
         assert enc.is_tiled(2)
+
+    def test_translate_many_matches_translate(self):
+        enc = ChunkIdEncoder()
+        enc.register_chunk(1, 3)
+        enc.register_tiled_sample([10, 11])
+        enc.register_chunk(2, 4)
+        samples = np.array([7, 0, 3, 2, 3, 4, 7], dtype=np.int64)
+        rows, local = enc.translate_many(samples)
+        assert [
+            (enc.chunk_id_at(r), l) for r, l in zip(rows.tolist(),
+                                                     local.tolist())
+        ] == [enc.translate(int(s)) for s in samples]
 
     def test_name_id_roundtrip(self):
         from repro.util.ids import new_chunk_name

@@ -348,6 +348,47 @@ class TestLoader:
             list(DeepLakeLoader(loader_ds, batch_size=4, num_workers=2,
                                 memory_budget_bytes=16))
 
+    @staticmethod
+    def _peak_concurrent_groups(loader) -> int:
+        """Most worker groups fetched at once during one epoch."""
+        import threading
+        import time
+
+        lock = threading.Lock()
+        state = {"active": 0, "peak": 0}
+        fetch = loader._fetch_group
+
+        def slow_fetch(rows):
+            with lock:
+                state["active"] += 1
+                state["peak"] = max(state["peak"], state["active"])
+            try:
+                time.sleep(0.02)  # hold the group so overlaps show
+                return fetch(rows)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        loader._fetch_group = slow_fetch
+        assert sum(len(b["labels"]) for b in loader) == 60
+        return state["peak"]
+
+    def test_every_worker_gets_a_group(self, loader_ds):
+        # batch 8, 4 workers x prefetch 2: groups of 8 rows, and more
+        # than one of them in flight (one group would idle 3 workers)
+        loader = DeepLakeLoader(loader_ds, batch_size=8, num_workers=4,
+                                prefetch_factor=2)
+        assert self._peak_concurrent_groups(loader) > 1
+
+    def test_memory_budget_caps_groups_in_flight(self, loader_ds):
+        probe = DeepLakeLoader(loader_ds, batch_size=8, num_workers=4,
+                               prefetch_factor=2)
+        # room for exactly one 8-row group of worst-case samples
+        budget = probe._sample_nbytes() * 8
+        loader = DeepLakeLoader(loader_ds, batch_size=8, num_workers=4,
+                                prefetch_factor=2, memory_budget_bytes=budget)
+        assert self._peak_concurrent_groups(loader) == 1
+
     def test_loader_on_view(self, loader_ds):
         view = loader_ds[10:30]
         loader = DeepLakeLoader(view, batch_size=10)

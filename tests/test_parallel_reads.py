@@ -267,24 +267,64 @@ class TestDecodeWorkerExceptions:
         assert type(parallel_exc.value) is type(serial_exc.value)
 
     def test_slicing_error_propagates_from_worker(self, monkeypatch):
+        # ragged samples take the per-item decode path on the pool
         engine, storage = make_engine(dtype="int64", max_chunk_size=256)
         for i in range(40):
-            engine.append(np.arange(i, i + 4, dtype=np.int64))
+            engine.append(np.arange(i, i + 1 + i % 3, dtype=np.int64))
         engine.flush()
         reader = fresh_reader(storage)
         boom = RuntimeError("worker blew up")
 
-        original = ChunkEngine._item_value
+        original = ChunkEngine._deserialize_sample
 
-        def exploding(self, spec, chunks, decode):
-            if spec[0] == "sample" and spec[2] == 1:
+        def exploding(self, raw, shape):
+            value = original(self, raw, shape)
+            if value[0] == 1:
                 raise boom
-            return original(self, spec, chunks, decode)
+            return value
 
-        monkeypatch.setattr(ChunkEngine, "_item_value", exploding)
+        monkeypatch.setattr(ChunkEngine, "_deserialize_sample", exploding)
         with read_pipeline(enabled=True, workers=4):
             with pytest.raises(RuntimeError, match="worker blew up"):
                 reader.read_batch(list(range(40)))
+
+
+class TestConcurrentPlanExecution:
+    def test_shared_reader_under_fast_thread_switching(self):
+        """Decode workers fill one shared value list per plan, and several
+        callers share the reader's decoded chunks: with more threads than
+        cores and a tiny switch interval, every result still equals the
+        serial read (a lost or misplaced write would not)."""
+        import sys
+
+        engine, storage = make_engine(dtype="int64", max_chunk_size=512)
+        for i in range(240):  # ragged: the per-item path on the pool
+            engine.append(np.arange(i % 7, dtype=np.int64) + i)
+        engine.flush()
+        rows = list(range(239, -1, -1)) + list(range(0, 240, 3))
+        with read_pipeline(enabled=False):
+            serial = list(fresh_reader(storage).read_batch(rows))
+        reader = fresh_reader(storage)
+        results = [None] * 4
+
+        def work(k):
+            results[k] = list(reader.read_batch(rows))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with read_pipeline(enabled=True, workers=6):
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert_identical(result, serial)
 
 
 class TestCoordinatedFlush:

@@ -4,6 +4,8 @@ Dataset.read_rows, and the consumers riding the batch path."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.chunk_engine import ChunkEngine
@@ -37,7 +39,7 @@ class TestPlanReads:
         assert plan.num_items == 5
         assert plan.num_chunks == 3  # rows span chunks {0,1}, {2,3}, {9}
         assert plan.num_fetches == 3
-        sizes = sorted(len(v) for v in plan.chunk_items.values())
+        sizes = sorted(len(pos) for pos, _local in plan.chunks.values())
         assert sizes == [1, 2, 2]
 
     def test_duplicate_and_negative_rows(self):
@@ -60,8 +62,9 @@ class TestPlanReads:
         engine.flush()
         assert engine.tile_enc.num_tiled == 1
         plan = engine.plan_reads([0])
-        assert plan.items[0][0] == "tiled"
-        assert plan.num_chunks == len(plan.items[0][2])
+        (pos, _index, tile_names), = plan.tiled
+        assert pos == 0
+        assert plan.num_chunks == len(tile_names)
         assert plan.num_chunks > 1
 
     def test_sequence_rows_expand_to_item_spans(self):
@@ -478,3 +481,129 @@ class TestConsumersMatchPerSamplePath:
         # single-flight + batched misses: one backend GET per cold chunk,
         # not one per client per chunk
         assert store.stats.get_requests == n_chunks
+
+
+# --------------------------------------------------------------------------- #
+# the array planner against the per-sample read path
+# --------------------------------------------------------------------------- #
+
+
+def _layout_engine(layout: str) -> ChunkEngine:
+    """An engine holding one storage layout; all but ``active`` flushed
+    and reopened cold, ``active`` keeps its last chunk unflushed."""
+    from repro.workloads import smooth_image
+
+    rng = np.random.default_rng(7)
+    if layout == "scalar":
+        engine, storage = make_engine(dtype="int64", max_chunk_size=64)
+        engine.extend([np.int64(i * 3 - 20) for i in range(40)])
+    elif layout == "ndim":
+        engine, storage = make_engine(dtype="float32", max_chunk_size=200)
+        engine.extend([rng.random((3, 4)).astype(np.float32)
+                       for _ in range(30)])
+    elif layout == "lz4":
+        engine, storage = make_engine(dtype="int32", chunk_compression="lz4",
+                                      max_chunk_size=256)
+        engine.extend([np.arange(i, i + 8, dtype=np.int32)
+                       for i in range(30)])
+    elif layout == "jpeg":
+        engine, storage = make_engine(htype="image", dtype="uint8",
+                                      sample_compression="jpeg",
+                                      max_chunk_size=4096)
+        for i in range(8):
+            engine.append(smooth_image(rng, 16 + 8 * (i % 2), 16, 3))
+    elif layout == "ragged":
+        engine, storage = make_engine(dtype="int64", max_chunk_size=128)
+        engine.extend([np.arange(i % 5, dtype=np.int64) for i in range(30)])
+    elif layout == "tiled":
+        engine, storage = make_engine(dtype="uint8", max_chunk_size=4096)
+        for i in range(6):
+            side = 96 if i % 3 == 1 else 8
+            engine.append(rng.integers(0, 255, (side, side, 3),
+                                       dtype=np.uint8))
+        assert engine.tile_enc.num_tiled == 2
+    elif layout == "sequence":
+        engine, storage = make_engine(htype="sequence[generic]",
+                                      dtype="int64", max_chunk_size=96)
+        for i in range(12):
+            engine.append([np.arange(i, i + 2, dtype=np.int64)] * (i % 4))
+    elif layout == "padded":
+        engine, storage = make_engine(dtype="float64", max_chunk_size=64)
+        engine.extend([np.full((2,), i, dtype=np.float64) for i in range(5)])
+        engine.pad_to(9)
+        engine.append(np.ones(2))
+        assert engine.pad_enc.num_padded == 4
+    elif layout == "text":
+        engine, storage = make_engine(htype="text", max_chunk_size=32)
+        engine.extend([f"word-{i}" * (i % 3) for i in range(20)])
+    elif layout == "json":
+        engine, storage = make_engine(htype="json", max_chunk_size=64)
+        engine.extend([{"i": i, "tags": ["a"] * (i % 3)} for i in range(20)])
+    elif layout == "active":
+        engine, storage = make_engine(dtype="int64", max_chunk_size=1 << 20)
+        engine.extend([np.full((2,), i, dtype=np.int64) for i in range(25)])
+        assert engine._active_chunk is not None
+        return engine
+    else:
+        raise ValueError(layout)
+    engine.flush()
+    return fresh_reader(storage)
+
+
+_LAYOUTS = ("scalar", "ndim", "lz4", "jpeg", "ragged", "tiled", "sequence",
+            "padded", "text", "json", "active")
+_ENGINES = {}
+
+
+def _assert_same_value(got, ref):
+    if isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref)
+        for a, b in zip(got, ref):
+            _assert_same_value(a, b)
+        return
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestArrayPlanMatchesReadSample:
+    """plan_reads + execute_plan over random row arrays (unsorted,
+    repeated, negative, empty) equal per-row read_sample exactly."""
+
+    @pytest.mark.parametrize("pipeline", [True, False])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_plan_equals_read_sample(self, layout, pipeline, data):
+        from repro.core.chunk_engine import read_pipeline
+
+        if layout not in _ENGINES:
+            _ENGINES[layout] = _layout_engine(layout)
+        engine = _ENGINES[layout]
+        n = engine.num_samples
+        rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=3 * n))
+        as_array = data.draw(st.booleans())
+        aslist = data.draw(st.booleans())
+        with read_pipeline(enabled=pipeline, workers=3):
+            plan = engine.plan_reads(np.asarray(rows, dtype=np.int64)
+                                     if as_array else rows)
+            column = engine.execute_plan(plan, aslist=aslist)
+            ref = [engine.read_sample(r, aslist=aslist) for r in rows]
+        assert len(column) == len(rows)
+        for got, want in zip(column, ref):
+            _assert_same_value(got, want)
+
+    @pytest.mark.parametrize("layout", ["scalar", "sequence", "tiled"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_rows_raise(self, layout, data):
+        if layout not in _ENGINES:
+            _ENGINES[layout] = _layout_engine(layout)
+        engine = _ENGINES[layout]
+        n = engine.num_samples
+        rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=8))
+        bad = data.draw(st.sampled_from([n, n + 5, -n - 1, -3 * n]))
+        rows.insert(data.draw(st.integers(0, len(rows))), bad)
+        with pytest.raises(SampleIndexError):
+            engine.plan_reads(rows)

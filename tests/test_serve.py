@@ -98,6 +98,23 @@ class TestServedReads:
             for key in sorted(backing._all_keys()):
                 assert provider[key] == backing[key]
 
+    def test_read_batch_keeps_0d_samples_0d(self):
+        backing = MemoryProvider("bkt")
+        build_image_dataset(backing, n=12)
+        direct = repro.load(backing, read_only=True)
+        rows = [7, 0, 11, 3]
+        expected = direct.read_rows(rows, ["labels"])["labels"]
+        server, _ = serve_backing(backing)
+        client = server.connect("ds")
+        batch = client.read_batch("labels", rows)
+        columns = client.read_columns(["labels", "images"], rows)
+        for got in (batch, columns["labels"]):
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape == ()
+                assert a.dtype == b.dtype
+                assert a[()] == b[()]
+
     def test_tql_and_loader_run_unmodified(self):
         backing = MemoryProvider("bkt")
         build_image_dataset(backing, n=16)

@@ -63,6 +63,30 @@ def kds(rng):
     return ds
 
 
+@pytest.fixture
+def dense_ds():
+    """Dense scalar columns with many ties: int ``g`` and float ``fk``
+    keys, float64 ``v`` / float32 ``w`` values, and a rising ``t`` over
+    small chunks so WHERE on ``t`` prunes chunks by statistics; two scan
+    windows, so partials merge across windows."""
+    ds = repro.empty(MemoryProvider("dense"), overwrite=True)
+    for name, dtype in (("t", "int64"), ("g", "int32"), ("fk", "float32"),
+                        ("v", "float64"), ("w", "float32")):
+        ds.create_tensor(name, dtype=dtype, max_chunk_size=512,
+                         create_shape_tensor=False, create_id_tensor=False)
+    gen = np.random.default_rng(11)
+    n = 1500
+    ds.extend({
+        "t": np.arange(n, dtype=np.int64),
+        "g": gen.integers(0, 7, n).astype(np.int32),
+        "fk": (gen.integers(-2, 3, n) / 4).astype(np.float32),
+        "v": gen.normal(size=n),
+        "w": gen.random(n).astype(np.float32),
+    })
+    ds.flush()
+    return ds
+
+
 # --------------------------------------------------------------------------- #
 # kernel-vs-eval_node equivalence
 # --------------------------------------------------------------------------- #
@@ -137,28 +161,70 @@ class TestKernelEquivalence:
         _rows_equal(kds.query(q, optimize=True),
                     kds.query(q, optimize=False))
 
-    def test_group_by_matches_row_mode(self, kds):
-        q = ("SELECT labels, COUNT() AS n, MEAN(score) AS ms, "
-             "SUM(count) AS sc, MIN(score) AS mn, MAX(vec) AS mx "
-             "GROUP BY labels")
-        fast = kds.query(q, optimize=True)
-        slow = kds.query(q, optimize=False)
-        assert len(fast) == len(slow) == 3
-        for name in ("n", "ms", "sc", "mn", "mx"):
-            for i in range(3):
+    # (fixture, query, groups, chunks pruned by the WHERE)
+    GROUP_QUERIES = [
+        ("kds", "SELECT labels, COUNT() AS n, MEAN(score) AS ms, "
+                "SUM(count) AS sc, MIN(score) AS mn, MAX(vec) AS mx "
+                "GROUP BY labels", 3, False),
+        ("dense_ds", "SELECT g, COUNT() AS n, MEAN(v) AS m, SUM(v) AS s, "
+                     "MIN(v) AS lo, MAX(v) AS hi, STD(v) AS sd "
+                     "WHERE t >= 300 GROUP BY g", 7, True),
+        ("dense_ds", "SELECT fk, COUNT() AS n, MEAN(w) AS m, SUM(g) AS s, "
+                     "MIN(w) AS lo, MAX(g) AS hi, STD(w) AS sd "
+                     "WHERE t < 1100 GROUP BY fk", 5, True),
+        ("dense_ds", "SELECT g, fk, COUNT() AS n, MEAN(v) AS m, "
+                     "STD(w) AS sd WHERE t >= 100 AND t < 1400 "
+                     "GROUP BY g, fk", 35, True),
+    ]
+
+    @pytest.mark.parametrize(
+        "ds_name,q,groups,pruned", GROUP_QUERIES,
+        ids=["labels", "int-key", "float-key", "two-keys"],
+    )
+    def test_group_by_matches_row_mode(self, request, ds_name, q, groups,
+                                       pruned):
+        ds = request.getfixturevalue(ds_name)
+        ex = _executor(ds, q)
+        fast = ex.run(q)
+        slow = ds.query(q, optimize=False)
+        assert (ex.chunks_skipped > 0) == pruned
+        assert len(fast) == len(slow) == groups
+        names = slow._meta.visible_tensors
+        assert fast._meta.visible_tensors == names
+        for name in names:
+            for i in range(groups):
                 assert float(fast[name][i].numpy()[()]) == pytest.approx(
                     float(slow[name][i].numpy()[()])
                 )
 
-    def test_order_and_sample_match_row_mode(self, kds):
-        q = "SELECT count WHERE score > -1 ORDER BY score DESC, count"
-        _rows_equal(kds.query(q, optimize=True),
-                    kds.query(q, optimize=False))
-        # SAMPLE BY: same seed, same weight vector -> identical draws
-        q = "SELECT count SAMPLE BY score + 2 LIMIT 10"
-        fast = kds.query(q, optimize=True, seed=3)
-        slow = kds.query(q, optimize=False, seed=3)
+    # (fixture, ORDER BY query, SAMPLE BY query or None)
+    ORDER_QUERIES = [
+        ("kds", "SELECT count WHERE score > -1 ORDER BY score DESC, count",
+         "SELECT count SAMPLE BY score + 2 LIMIT 10"),
+        ("dense_ds", "SELECT * ORDER BY g", None),
+        ("dense_ds", "SELECT * WHERE t >= 200 ORDER BY g DESC", None),
+        ("dense_ds", "SELECT t WHERE t < 1300 ORDER BY fk DESC, g", None),
+        ("dense_ds", "SELECT * ORDER BY fk, g DESC LIMIT 50", None),
+    ]
+
+    @pytest.mark.parametrize(
+        "ds_name,q,sample_q", ORDER_QUERIES,
+        ids=["mixed", "int-ties-asc", "int-ties-desc", "float-desc-int",
+             "float-asc-int-desc"],
+    )
+    def test_order_and_sample_match_row_mode(self, request, ds_name, q,
+                                             sample_q):
+        ds = request.getfixturevalue(ds_name)
+        fast = ds.query(q, optimize=True)
+        slow = ds.query(q, optimize=False)
+        # ties keep input order: the exact row order must agree
+        assert list(fast.index.entries[0]) == list(slow.index.entries[0])
         _rows_equal(fast, slow)
+        if sample_q is not None:
+            # SAMPLE BY: same seed, same weight vector -> identical draws
+            fast = ds.query(sample_q, optimize=True, seed=3)
+            slow = ds.query(sample_q, optimize=False, seed=3)
+            _rows_equal(fast, slow)
 
     def test_text_and_json_projections(self, kds):
         q = "SELECT caption, meta WHERE count == 2"
