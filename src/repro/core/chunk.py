@@ -152,7 +152,10 @@ class Chunk:
             return True  # a chunk always holds at least one sample
         return len(self.data) + nbytes <= max_chunk_size
 
-    def append(self, raw: bytes, shape: Sequence[int]) -> None:
+    def append(self, raw: bytes, shape: Sequence[int], count: int = 1) -> None:
+        """Append *count* samples of one *shape* whose payloads are packed
+        back to back in *raw*, all the same size — so their offsets are
+        arithmetic (Hub's ``calculate_bytes``)."""
         shape = tuple(int(x) for x in shape)
         self._thaw()
         if self._shapes and len(shape) != len(self._shapes[0]):
@@ -162,8 +165,10 @@ class Chunk:
             )
         start = len(self.data)
         self.data.extend(raw)
-        self._positions.append((start, len(self.data)))
-        self._shapes.append(shape)
+        size = (len(self.data) - start) // count
+        offsets = [start + i * size for i in range(count + 1)]
+        self._positions.extend(zip(offsets, offsets[1:]))
+        self._shapes.extend([shape] * count)
 
     def read_bytes(self, local_index: int) -> bytes:
         arr = self._position_arr

@@ -381,30 +381,41 @@ class WritePlan:
 
     Staging (:meth:`ChunkEngine.stage_appends`) runs every fallible step —
     coercion, validation, sample compression — *without touching engine
-    state*, fanning the serialization work out over a thread pool.
-    Committing (:meth:`ChunkEngine.commit_appends`) then only moves
-    already-serialized payloads into chunks and registers them, under the
-    engine lock, with a cheap truncation snapshot so a failure anywhere in
-    the batch rolls the engine back to the pre-commit state.
+    state*.  Committing (:meth:`ChunkEngine.commit_appends`) then only
+    moves already-serialized payloads into chunks and registers them,
+    under the engine lock, with a cheap truncation snapshot so a failure
+    anywhere in the batch rolls the engine back to the pre-commit state.
 
-    ``entries`` holds one spec per appended row, in request order:
-    ``("flat", value, [(raw, shape, arr)])`` for plain samples (one
-    payload) and ``("seq", value, [(raw, shape, arr), ...])`` for sequence
-    rows (one payload per item).
+    A plan holds either one *dense segment* or per-row entries:
+
+    - ``dense`` is ``(column, raw)`` when the whole batch is one
+      fixed-shape numeric array — ``column`` stacks the coerced samples
+      on a leading row axis and ``raw`` is its C-order bytes, so every
+      sample has the same size and commit places whole runs of rows per
+      chunk;
+    - otherwise ``entries`` holds one spec per appended row, in request
+      order: ``("flat", value, [(raw, shape, arr)])`` for plain samples
+      (one payload) and ``("seq", value, [(raw, shape, arr), ...])`` for
+      sequence rows (one payload per item).
     """
 
-    __slots__ = ("tensor", "entries")
+    __slots__ = ("tensor", "entries", "dense")
 
     def __init__(self, tensor: str):
         self.tensor = tensor
         self.entries: List[Tuple] = []
+        self.dense: Optional[Tuple[np.ndarray, bytes]] = None
 
     @property
     def num_rows(self) -> int:
+        if self.dense is not None:
+            return len(self.dense[0])
         return len(self.entries)
 
     @property
     def num_bytes(self) -> int:
+        if self.dense is not None:
+            return len(self.dense[1])
         return sum(
             len(raw) for _k, _v, payloads in self.entries
             for raw, _shape, _arr in payloads
@@ -846,8 +857,11 @@ class ChunkEngine:
         }
 
     def _stats_observe(self, name: str, arr: Optional[np.ndarray],
-                       count: int = 1) -> None:
-        """Widen chunk *name*'s stats with one observed sample.
+                       count: int = 1,
+                       shape: Optional[Tuple[int, ...]] = None) -> None:
+        """Widen chunk *name*'s stats with *count* observed samples: *arr*
+        is the one sample, or — with *shape* giving the per-sample shape
+        — the samples stacked on a leading axis.
 
         No-op when the chunk has no entry (stats were never initialised
         for it, e.g. pre-PR chunks); poisons the entry when the sample is
@@ -865,7 +879,7 @@ class ChunkEngine:
             hi = arr.max().item()
             entry["min"] = lo if entry["min"] is None else min(entry["min"], lo)
             entry["max"] = hi if entry["max"] is None else max(entry["max"], hi)
-        shape = list(arr.shape)
+        shape = list(arr.shape if shape is None else shape)
         for key, fn in (("shape_min", min), ("shape_max", max)):
             prev = entry[key]
             if prev == "n/a":
@@ -1026,17 +1040,71 @@ class ChunkEngine:
 
         arr = self._coerce_array(value)
         validate_sample(self.meta.spec, arr)
-        self.meta.set_dtype_if_unset(arr.dtype)
-        if np.dtype(self.meta.dtype) != arr.dtype:
-            raise FormatError(
-                f"tensor {self.tensor!r} holds dtype {self.meta.dtype}, "
-                f"sample has {arr.dtype}"
-            )
+        self._pin_dtype(arr.dtype)
         if self.meta.sample_compression:
             raw = compress_array(arr, self.meta.sample_compression)
         else:
             raw = np.ascontiguousarray(arr).tobytes()
         return raw, tuple(arr.shape), arr
+
+    def _pin_dtype(self, dtype: np.dtype) -> None:
+        """The first sample pins the tensor dtype; later ones must match."""
+        self.meta.set_dtype_if_unset(dtype)
+        if np.dtype(self.meta.dtype) != dtype:
+            raise FormatError(
+                f"tensor {self.tensor!r} holds dtype {self.meta.dtype}, "
+                f"sample has {dtype}"
+            )
+
+    def _stage_column(self, values) -> Optional[np.ndarray]:
+        """*values* as one coerced, validated ``(rows, *shape)`` column,
+        or None when the batch must be staged row by row.
+
+        A batch qualifies when the tensor is not a link, text, json or
+        sequence tensor, has no sample compression, and the batch is one
+        fixed-shape numeric (``biuf``) array in which every row, taken on
+        its own, would coerce to the same dtype: an ndarray column, a list
+        of numpy values sharing one dtype, or a list of Python scalars of
+        one type.  Ragged or mixed batches and rows too big for one chunk
+        (they are tiled) return None before any state is touched.  The
+        cast rule, validation and dtype pin are those of
+        :meth:`_serialize_sample`, applied once for the batch — per row
+        only for htypes with a ``validate`` hook.
+        """
+        m = self.meta
+        if (m.is_link or m.is_text or m.is_json or m.is_sequence
+                or m.sample_compression):
+            return None
+        if isinstance(values, np.ndarray):
+            col = values
+        else:
+            types = set(map(type, values))
+            if len(types) == 1 and next(iter(types)) in (bool, int, float):
+                want = np.dtype(types.pop())
+            elif all(issubclass(t, (np.ndarray, np.generic)) for t in types):
+                dtypes = {v.dtype for v in values}
+                if len(dtypes) != 1:
+                    return None
+                want = dtypes.pop()
+            else:
+                return None
+            try:
+                col = np.asarray(values)
+            except ValueError:  # ragged
+                return None
+            if col.dtype != want:  # e.g. Python ints beyond int64
+                return None
+        if col.dtype.kind not in "biuf":
+            return None
+        col = self._coerce_array(col)
+        if col[0].nbytes > m.max_chunk_size:
+            return None
+        validate_sample(m.spec, col[0])
+        self._pin_dtype(col.dtype)
+        if m.spec.validate is not None:
+            for row in col[1:]:
+                validate_sample(m.spec, row)
+        return np.ascontiguousarray(col)
 
     def _deserialize_sample(
         self, raw: bytes, shape: Tuple[int, ...]
@@ -1216,42 +1284,69 @@ class ChunkEngine:
         self._header_cache.pop(key, None)
         self._cache_put(key, chunk)
 
+    def _place(self, raw, shape, arr, touched, count: int = 1) -> int:
+        """Append the leading samples of *raw* to the chunk the fill rule
+        picks; returns how many were placed (at least one).
+
+        *raw* packs *count* payloads of one *shape* and equal size back to
+        back; *arr* is the one sample's array (or None when it was never
+        decoded) or, for ``count > 1``, the samples stacked on a leading
+        axis.  The chunk takes as many samples as a one-at-a-time
+        ``can_fit`` loop would — ``room // sample_nbytes``, at least one,
+        every remaining sample when they are zero-byte — and is finalized
+        once it reaches ``max_chunk_size``.  *touched* collects each
+        chunk's state at first touch for rollback.
+        """
+        size = len(raw) // count
+        chunk = self._get_active_chunk(size)
+        if touched is not None and chunk.name not in touched:
+            stats = self.chunk_stats.get(chunk.name)
+            touched[chunk.name] = (len(chunk.data), chunk.num_samples,
+                                   dict(stats) if stats else stats)
+        k = count
+        if size:
+            room = self.meta.max_chunk_size - len(chunk.data)
+            k = min(count, max(1, room // size))
+        if k < count:
+            raw, arr = raw[:k * size], arr[:k]
+        chunk.append(raw, shape, k)
+        self._stats_observe(chunk.name, arr, k, shape)
+        self.enc.register_samples(k)
+        if len(chunk.data) >= self.meta.max_chunk_size:
+            self._finalize_active()
+        return k
+
     def _commit_flat(
         self, value, raw, shape, arr,
-        touched: Optional[Dict[str, Tuple[int, int]]] = None,
+        touched: Optional[Dict[str, Tuple]] = None,
+        count: int = 1,
     ) -> None:
-        """Register one pre-serialized flat sample (the infallible half of
-        an append; *touched* collects first-touch chunk states for
-        rollback)."""
+        """Register *count* pre-serialized flat samples of one *shape*
+        (the infallible half of an append; see :meth:`_place` for how
+        *raw* and *arr* carry several samples).  A single sample larger
+        than ``max_chunk_size`` is tiled."""
         is_video = self.meta.htype == "video"
         if (
-            len(raw) > self.meta.max_chunk_size
+            count == 1
+            and len(raw) > self.meta.max_chunk_size
             and not is_video
             and not self.meta.is_link
         ):
             self._append_tiled(value, raw, shape, arr)
         else:
-            chunk = self._get_active_chunk(len(raw))
-            if touched is not None:
-                touched.setdefault(
-                    chunk.name, (len(chunk.data), chunk.num_samples)
+            view = memoryview(raw)
+            size = len(view) // count
+            done = 0
+            while done < count:
+                done += self._place(
+                    view[done * size:], shape,
+                    arr if not done else arr[done:], touched, count - done,
                 )
-            chunk.append(raw, shape)
-            self._stats_observe(chunk.name, arr)
-            self.enc.register_samples(1)
-            if len(chunk.data) >= self.meta.max_chunk_size:
-                self._finalize_active()
         if not self.meta.is_link:
             self.meta.update_shape_interval(shape)
-        self.meta.length += 1
-        self.commit_diff.add(1)
+        self.meta.length += count
+        self.commit_diff.add(count)
         self._dirty = True
-
-    def _append_flat(self, value) -> None:
-        # single-sample internal path (pad_to): serialization — the only
-        # fallible phase — completes before any engine state is mutated
-        raw, shape, arr = self._serialize_sample(value)
-        self._commit_flat(value, raw, shape, arr)
 
     def _append_tiled(self, value, raw, shape, arr) -> None:
         # a tiled sample owns dedicated chunks; close the active one first
@@ -1285,7 +1380,7 @@ class ChunkEngine:
 
     def _commit_sequence(
         self, payloads,
-        touched: Optional[Dict[str, Tuple[int, int]]] = None,
+        touched: Optional[Dict[str, Tuple]] = None,
     ) -> None:
         """Register one pre-serialized sequence row.  Every item was
         serialized during staging, so — unlike the historical path, which
@@ -1294,16 +1389,7 @@ class ChunkEngine:
         registered in ``enc`` while ``seq_enc``/``meta.length`` never
         advance."""
         for raw, shape, arr in payloads:
-            chunk = self._get_active_chunk(len(raw))
-            if touched is not None:
-                touched.setdefault(
-                    chunk.name, (len(chunk.data), chunk.num_samples)
-                )
-            chunk.append(raw, shape)
-            self._stats_observe(chunk.name, arr)
-            self.enc.register_samples(1)
-            if len(chunk.data) >= self.meta.max_chunk_size:
-                self._finalize_active()
+            self._place(raw, shape, arr, touched)
             self.meta.update_shape_interval(shape)
         self.seq_enc.register(len(payloads))
         self.meta.length += 1
@@ -1342,18 +1428,25 @@ class ChunkEngine:
         return payloads
 
     def stage_appends(self, values) -> WritePlan:
-        """Serialize + compress *values* into a :class:`WritePlan` without
-        mutating engine state (exception-safe: a staging failure leaves
-        nothing to undo).  Sequence rows stage every item."""
-        values = list(values)
+        """Serialize + compress *values* — samples, or an ndarray whose
+        leading axis is rows — into a :class:`WritePlan` without mutating
+        engine state (exception-safe: a staging failure leaves nothing to
+        undo).  A fixed-shape numeric batch becomes one dense segment
+        (see :meth:`_stage_column`); any other batch is serialized row by
+        row, sequence rows item by item."""
+        if not isinstance(values, np.ndarray):
+            values = list(values)
         plan = WritePlan(self.tensor)
-        if not values:
+        if not len(values):
             return plan
         dtype_was_none = self.meta.dtype is None
         with _tracing.span("engine.stage_appends", tensor=self.tensor,
                            rows=len(values)):
             try:
-                if self.meta.is_sequence:
+                col = self._stage_column(values)
+                if col is not None:
+                    plan.dense = (col, col.tobytes())
+                elif self.meta.is_sequence:
                     rows = [list(v) for v in values]
                     flat = [item for row in rows for item in row]
                     payloads = self._stage_payloads(flat)
@@ -1364,7 +1457,7 @@ class ChunkEngine:
                         )
                         pos += len(row)
                 else:
-                    payloads = self._stage_payloads(values)
+                    payloads = self._stage_payloads(list(values))
                     for value, payload in zip(values, payloads):
                         plan.entries.append(("flat", value, [payload]))
             except BaseException:
@@ -1393,11 +1486,9 @@ class ChunkEngine:
             "meta_dtype": self.meta.dtype,
             "shape_interval": (si.lower, si.upper, si._initialized),
             "diff_added": self.commit_diff.num_added,
-            "active": (
-                (active.name, len(active.data), active.num_samples)
-                if active is not None
-                else None
-            ),
+            # the object itself: a batch can finalize it into the write
+            # buffer, and rollback must reinstate it even from there
+            "active": active,
             "pending": list(self._pending_chunks),
             "dirty": self._dirty,
         }
@@ -1409,18 +1500,20 @@ class ChunkEngine:
         return self._cache_peek(self._chunk_storage_key(name))
 
     def _restore_snapshot(
-        self, snap: dict, touched: Dict[str, Tuple[int, int]]
+        self, snap: dict, touched: Dict[str, Tuple]
     ) -> None:
         """Roll the engine back to *snap* after a failed commit batch.
 
         *touched* maps each chunk the batch appended into to its
-        ``(data length, sample count)`` at first touch; those chunk
-        objects are truncated back.  A chunk the serial (pipeline-off)
-        path already wrote through is rewritten truncated, so a later
-        resume of that chunk from storage can never see rolled-back
-        samples.
+        ``(data length, sample count, stats entry)`` at first touch;
+        those chunk objects are truncated back and get their stats
+        entry back.  A chunk the serial (pipeline-off) path already
+        wrote through is rewritten truncated, so a later resume of that
+        chunk from storage can never see rolled-back samples.
         """
-        for name, (dlen, nsamp) in touched.items():
+        for name, (dlen, nsamp, stats) in touched.items():
+            if name in snap["stats_keys"]:
+                self.chunk_stats[name] = stats
             chunk = self._mem_chunk(name)
             written = False
             if chunk is None:
@@ -1435,7 +1528,7 @@ class ChunkEngine:
                         continue
                     chunk = Chunk.frombytes(blob, name=name)
                     written = True
-            if len(chunk.data) > dlen:
+            if chunk.num_samples > nsamp:
                 chunk.truncate(nsamp, dlen)
                 if written:
                     self._write_chunk(chunk)
@@ -1450,8 +1543,7 @@ class ChunkEngine:
             i for i in self.tile_enc._layouts if i >= snap["tile_threshold"]
         ]:
             del self.tile_enc._layouts[idx]
-        # bookkeeping: fresh chunks leave chunk_set/stats; widened stats on
-        # surviving chunks stay (a [min,max] superset can never mis-prune)
+        # bookkeeping: fresh chunks leave chunk_set/stats
         self.chunk_set = snap["chunk_set"]
         for name in set(self.chunk_stats) - snap["stats_keys"]:
             del self.chunk_stats[name]
@@ -1472,12 +1564,9 @@ class ChunkEngine:
                 chunk = self._locate_chunk(name)
                 if chunk is not None:
                     self._pending_chunks[name] = chunk
-        if snap["active"] is None:
-            self._active_chunk = None
-        else:
-            name = snap["active"][0]
-            self._active_chunk = self._locate_chunk(name)
-            self._pending_chunks.pop(name, None)
+        self._active_chunk = snap["active"]
+        if self._active_chunk is not None:
+            self._pending_chunks.pop(self._active_chunk.name, None)
         self._dirty = snap["dirty"]
 
     def commit_appends(self, plan: WritePlan) -> None:
@@ -1489,14 +1578,18 @@ class ChunkEngine:
         the exception propagates.  After a successful commit, crossing the
         write-buffer watermark triggers a batched chunk upload.
         """
-        if not plan.entries:
+        if not plan.num_rows:
             return
         with self._lock:
             snap = self._write_snapshot()
-            touched: Dict[str, Tuple[int, int]] = {}
+            touched: Dict[str, Tuple] = {}
             with _tracing.span("engine.commit_appends", tensor=self.tensor,
                                rows=plan.num_rows):
                 try:
+                    if plan.dense is not None:
+                        col, raw = plan.dense
+                        self._commit_flat(None, raw, col.shape[1:], col,
+                                          touched, count=len(col))
                     for kind, value, payloads in plan.entries:
                         if kind == "seq":
                             self._commit_sequence(payloads, touched)
@@ -1512,9 +1605,10 @@ class ChunkEngine:
         self.commit_appends(self.stage_appends([value]))
 
     def extend(self, values) -> None:
-        """Batched, exception-safe append: stage every sample (parallel
-        serialization + compression), then commit all-or-nothing; chunks
-        finalized along the way upload in batched ``set_many`` calls."""
+        """Batched, exception-safe append: stage every sample (one dense
+        segment, or parallel per-row serialization + compression), then
+        commit all-or-nothing; chunks finalized along the way upload in
+        batched ``set_many`` calls."""
         self.commit_appends(self.stage_appends(values))
 
     # ------------------------------------------------------------------ #
@@ -2250,12 +2344,15 @@ class ChunkEngine:
 
     def pad_to(self, length: int) -> None:
         """Sparse support: grow with empty padded samples up to *length*."""
-        while self.num_samples < length:
-            idx = self.num_samples
-            self._append_flat(
-                self.empty_sample() if not self.meta.is_text else ""
-            )
-            self.pad_enc.pad(idx)
+        start = self.num_samples
+        if start >= length:
+            return
+        if self.meta.is_text:
+            self.extend([""] * (length - start))
+        else:
+            empty = self.empty_sample()
+            self.extend(np.broadcast_to(empty, (length - start,) + empty.shape))
+        self.pad_enc.pad_range(start, length)
 
     # ------------------------------------------------------------------ #
     # layout optimisation

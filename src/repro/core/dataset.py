@@ -34,7 +34,7 @@ from repro.exceptions import (
 )
 from repro.storage.provider import StorageProvider
 from repro.util import keys as K
-from repro.util.ids import new_sample_id, new_view_id
+from repro.util.ids import new_sample_id, new_sample_ids, new_view_id
 from repro.util.json_util import json_dumps, json_loads
 from repro.version_control import operations as vc_ops
 from repro.version_control.tree import VersionTree
@@ -332,25 +332,31 @@ class Dataset:
         sample_ids: Optional[Sequence[int]] = None,
     ) -> None:
         """Mirror rows ``[start, start+count)`` of *name* into its hidden
-        companion tensors (shape / id / downsampled), batched."""
+        companion tensors (shape / id / downsampled), batched: the shape
+        and id columns are built as one array each, so both companions
+        commit as dense segments."""
         links = engine.meta.links
         if not links or not count:
             return
         rows = list(range(start, start + count))
         if "shape" in links:
             if engine.meta.is_link:
-                shapes = [np.array([], dtype=np.int64)] * count
+                shapes = np.zeros((count, 0), dtype=np.int64)
             else:
-                shapes = [
-                    np.asarray(s, dtype=np.int64)
-                    for s in engine.read_shapes_batch(rows)
-                ]
+                shapes = engine.read_shapes_batch(rows)
+                ranks = {len(s) for s in shapes}
+                if len(ranks) == 1:  # sequence rows may differ in rank
+                    shapes = np.array(shapes, dtype=np.int64).reshape(
+                        count, ranks.pop()
+                    )
+                else:
+                    shapes = [np.asarray(s, dtype=np.int64) for s in shapes]
             self._engine(links["shape"]).extend(shapes)
         if "id" in links:
             if sample_ids is None:
-                sample_ids = [new_sample_id() for _ in rows]
+                sample_ids = new_sample_ids(count)
             self._engine(links["id"]).extend(
-                [np.uint64(sid) for sid in sample_ids]
+                np.asarray(sample_ids).astype(np.uint64)
             )
         if "downsampled" in links:
             factor = int(engine.meta.info.get("downsampling_factor", 2))
@@ -374,14 +380,13 @@ class Dataset:
     ) -> None:
         """Columnar extend of tensor *name* plus its hidden companions.
 
-        Every sample is staged (serialized, in parallel) before any engine
-        state is committed: a bad sample anywhere in *values* aborts the
-        whole batch with the tensor and its companions untouched.
+        Every sample is staged (one dense segment for a fixed-shape
+        numeric batch, else serialized per row in parallel) before any
+        engine state is committed: a bad sample anywhere in *values*
+        aborts the whole batch with the tensor and its companions
+        untouched.
         """
         self._check_writable()
-        values = list(values)
-        if not values:
-            return
         engine = self._engine(name)
         plan = engine.stage_appends(values)
         self._commit_extend(name, engine, plan, sample_ids)
@@ -410,12 +415,12 @@ class Dataset:
         links = engine.meta.links
         if "shape" in links:
             shape_engine = self._engine(links["shape"])
-            while shape_engine.num_samples < length:
-                shape_engine.append(np.array([], dtype=np.int64))
+            missing = max(0, length - shape_engine.num_samples)
+            shape_engine.extend(np.zeros((missing, 0), dtype=np.int64))
         if "id" in links:
             id_engine = self._engine(links["id"])
-            while id_engine.num_samples < length:
-                id_engine.append(np.uint64(new_sample_id()))
+            missing = max(0, length - id_engine.num_samples)
+            id_engine.extend(new_sample_ids(missing).astype(np.uint64))
         if "downsampled" in links:
             down_engine = self._engine(links["downsampled"])
             down_engine.pad_to(length)
@@ -525,7 +530,8 @@ class Dataset:
         """Columnar batch append: ``{tensor: [v0, v1, ...]}``, all columns
         the same length.
 
-        Every column is *staged* (serialized on worker threads) before any
+        Every column is *staged* (cast as one array when it is fixed-shape
+        numeric, else serialized per row on worker threads) before any
         tensor is touched, so a bad sample anywhere in the batch raises
         with the dataset unchanged.  Commits then run per tensor; finalized
         chunks are buffered and uploaded in batched ``set_many`` calls by
@@ -546,7 +552,10 @@ class Dataset:
                 f"extend is missing tensors {sorted(missing)}; pass "
                 "append_empty=True to pad them"
             )
-        columns = {key: list(values) for key, values in samples.items()}
+        columns = {
+            key: values if isinstance(values, np.ndarray) else list(values)
+            for key, values in samples.items()
+        }
         lengths = {len(col) for col in columns.values()}
         if len(lengths) > 1:
             raise FormatError(
@@ -569,11 +578,11 @@ class Dataset:
         for name in sorted(missing):
             engine = self._engine(name)
             base = engine.num_samples
+            empty = engine.empty_sample()
             self._extend_with_id(
-                name, [engine.empty_sample() for _ in range(count)]
+                name, np.broadcast_to(empty, (count,) + empty.shape)
             )
-            for row in range(base, base + count):
-                engine.pad_enc.pad(row)
+            engine.pad_enc.pad_range(base, base + count)
 
     def read_rows(
         self,
@@ -689,6 +698,10 @@ class Dataset:
         return sorted(self._tree.branches)
 
     def _has_uncommitted_changes(self) -> bool:
+        # only the head node's working state can be uncommitted; a sealed
+        # commit's engines report the diff it was sealed with
+        if not self._tree.node(self.version_state.commit_id).is_head:
+            return False
         for name in self._meta.tensors:
             try:
                 if self._engine(name).has_changes:

@@ -275,6 +275,10 @@ class PadEncoder:
     def pad(self, index: int) -> None:
         self._padded.add(int(index))
 
+    def pad_range(self, start: int, stop: int) -> None:
+        """Mark every index in ``[start, stop)`` as padding."""
+        self._padded.update(range(int(start), int(stop)))
+
     def unpad(self, index: int) -> None:
         self._padded.discard(int(index))
 

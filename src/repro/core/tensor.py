@@ -90,7 +90,7 @@ class Tensor:
         """Append many samples as one staged batch: all values serialize
         before any is committed, so a bad sample aborts atomically."""
         self._check_full_view("extend")
-        self.dataset._extend_with_id(self.name, list(values))
+        self.dataset._extend_with_id(self.name, values)
 
     def __setitem__(self, item, value) -> None:
         if not isinstance(item, (int, np.integer)):

@@ -45,10 +45,19 @@ def new_commit_id() -> str:
     return _hex(20)
 
 
-def new_sample_id() -> int:
-    """Random uint64 sample identity (stored in a hidden id tensor)."""
+def new_sample_ids(n: int) -> np.ndarray:
+    """*n* random sample identities (stored in a hidden id tensor) as one
+    int64 array.  A single ``size=n`` draw yields exactly the values of
+    *n* successive :func:`new_sample_id` calls, so seeded ids do not
+    depend on how rows were batched."""
     with _lock:
-        return int(_rng.integers(1, np.iinfo(np.int64).max, dtype=np.int64))
+        return _rng.integers(1, np.iinfo(np.int64).max, size=n,
+                             dtype=np.int64)
+
+
+def new_sample_id() -> int:
+    """One random sample identity (see :func:`new_sample_ids`)."""
+    return int(new_sample_ids(1)[0])
 
 
 def new_view_id() -> str:

@@ -120,6 +120,23 @@ class TestAppendAndRead:
         assert engine.pad_enc.is_padded(engine.num_samples - 1)
         assert int(image_ds.labels[-1].numpy()[()]) == 0
 
+    def test_extend_append_empty_pads_many_rows(self, image_ds, rng):
+        base = len(image_ds)
+        images = [rng.integers(0, 255, (8, 8, 3), dtype=np.uint8)
+                  for _ in range(5)]
+        image_ds.extend({"images": images}, append_empty=True)
+        engine = image_ds._engine("labels")
+        assert engine.num_samples == base + 5
+        assert engine.pad_enc.indices() == list(range(base, base + 5))
+        assert image_ds.labels.numpy()[base:].tolist() == [0] * 5
+        # companions advance with the padded rows: empty shapes, new ids
+        shapes = image_ds._engine("_labels_shape")
+        assert shapes.num_samples == base + 5
+        for row in shapes.read_batch(range(base, base + 5), aslist=True):
+            assert row.dtype == np.int64 and row.shape == (0,)
+        ids = image_ds.labels.sample_ids()
+        assert len(ids) == base + 5 and len(set(ids)) == base + 5
+
     def test_unknown_key_rejected(self, image_ds):
         with pytest.raises(TensorDoesNotExistError):
             image_ds.append({"imagez": np.zeros(1)})
@@ -201,6 +218,29 @@ class TestSparse:
         # hidden companions stay aligned
         assert len(ds._engine("_x_id").enc._cum) >= 1
         assert ds._engine("_x_id").num_samples == 5
+
+    def test_non_strict_multi_row_pad(self):
+        ds = repro.empty(MemoryProvider(), overwrite=True, strict=False)
+        ds.create_tensor("x", dtype="float32", max_chunk_size=64)
+        ds.x.extend(np.ones((2, 3), dtype=np.float32))
+        ds.x[9] = np.full(3, 9.0, dtype=np.float32)
+        engine = ds._engine("x")
+        assert engine.num_samples == 10
+        assert engine.pad_enc.indices() == list(range(2, 9))
+        rows = ds.x.numpy(aslist=True)
+        assert [r.shape for r in rows] == [(3,)] * 2 + [(0,)] * 7 + [(3,)]
+        assert rows[9].tolist() == [9.0] * 3
+        shapes = ds._engine("_x_shape").read_batch(range(10), aslist=True)
+        assert [s.tolist() for s in shapes] == (
+            [[3]] * 2 + [[]] * 7 + [[3]]
+        )
+        ids = ds.x.sample_ids()
+        assert len(ids) == 10 and len(set(ids)) == 10
+        # padding is re-read identically after a reload
+        ds.flush()
+        again = repro.load(ds.storage)
+        assert again._engine("x").pad_enc.indices() == list(range(2, 9))
+        assert again.x.sample_ids() == ids
 
 
 class TestDownsampled:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DynamicShapeError
 from repro.util import keys as K
-from repro.util.ids import new_chunk_name, new_commit_id, new_sample_id, seed_ids
+from repro.util.ids import (
+    new_chunk_name,
+    new_commit_id,
+    new_sample_id,
+    new_sample_ids,
+    seed_ids,
+)
 from repro.util.json_util import json_dumps, json_loads
 from repro.util.shape import ShapeInterval, ceildiv, nbytes_of, normalize_index
 
@@ -131,6 +137,20 @@ class TestMisc:
         seed_ids(7)
         b = new_chunk_name(), new_commit_id(), new_sample_id()
         assert a == b
+
+    def test_batched_sample_ids_match_scalar_draws(self):
+        # one size=n draw must reproduce n single draws, so seeded ids do
+        # not change when rows are written in batches
+        ref = np.random.default_rng(7)
+        scalar = [
+            int(ref.integers(1, np.iinfo(np.int64).max, dtype=np.int64))
+            for _ in range(50)
+        ]
+        seed_ids(7)
+        assert new_sample_ids(20).tolist() + new_sample_ids(30).tolist() \
+            == scalar
+        seed_ids(7)
+        assert [new_sample_id() for _ in range(50)] == scalar
 
     def test_chunk_name_is_16_hex(self):
         name = new_chunk_name()

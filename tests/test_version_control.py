@@ -102,6 +102,26 @@ class TestCommitCheckout:
         with pytest.raises(CheckoutError):
             vds.checkout("main")
 
+    def test_time_travel_round_trip(self, vds):
+        first = vds.commit("six rows")
+        vds.extend({"x": np.arange(10, 13).reshape(3, 1), "t": ["a", "b", "c"]})
+        vds.commit("nine rows")
+        head = vds.commit_id
+        vds.checkout(first)  # a sealed snapshot, not a head
+        assert len(vds) == 6
+        assert not vds.has_changes
+        vds.checkout("main")  # used to raise: the sealed diff read as dirty
+        assert vds.commit_id == head
+        assert len(vds) == 9
+        assert vds.x.numpy().reshape(-1).tolist() == (
+            list(range(6)) + [10, 11, 12]
+        )
+        assert vds.t[8].data() == "c"
+        vds.checkout(first)
+        assert vds.x.numpy().reshape(-1).tolist() == list(range(6))
+        vds.checkout("main")
+        assert len(vds) == 9
+
     def test_branch_isolation(self, vds):
         vds.commit("base")
         vds.checkout("exp", create=True)

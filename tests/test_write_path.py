@@ -7,15 +7,25 @@ failures, the killed-mid-flush reload guarantee, and the streaming
 ingest-while-serving scenario.
 """
 
+import copy
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
-from repro.core.chunk_engine import _WRITE_PIPELINE, write_pipeline
+from repro.core import htypes
+from repro.core.chunk_engine import ChunkEngine, _WRITE_PIPELINE, write_pipeline
+from repro.core.encoders import ChunkIdEncoder
 from repro.exceptions import (
     FormatError,
     NetworkError,
     ReadOnlyStorageError,
+    SampleShapeError,
     TensorDoesNotExistError,
 )
 from repro.ingest.connectors import JSONLSource, ingest_stream
@@ -29,6 +39,7 @@ from repro.storage import (
     make_object_store,
 )
 from repro.util import keys as K
+from repro.util.ids import seed_ids
 
 
 @pytest.fixture(autouse=True)
@@ -559,3 +570,260 @@ class TestStreamingIngest:
                 got = [int(reader.a[i].numpy()) for i in range(count)]
                 assert got == list(range(count))
             assert count == 12
+
+
+# --------------------------------------------------------------------------- #
+# columnar (dense-segment) writes match row-by-row appends
+# --------------------------------------------------------------------------- #
+
+_DTYPES = ["bool", "int8", "int32", "int64", "uint8", "uint16", "uint64",
+           "float32", "float64"]
+
+
+@st.composite
+def _dense_batches(draw):
+    """A fixed-shape column plus how to hand it to ``extend``."""
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    rows = draw(st.integers(1, 24))
+    # NaN min/max depends on visiting order, so per-row and per-chunk
+    # statistics legitimately differ on it
+    elements = (
+        st.floats(allow_nan=False, width=8 * dtype.itemsize)
+        if dtype.kind == "f" else None
+    )
+    col = draw(hnp.arrays(dtype, (rows,) + shape, elements=elements))
+    return {
+        "col": col,
+        "form": draw(st.sampled_from(["ndarray", "numpy_list",
+                                      "python_list"])),
+        "split": draw(st.integers(0, rows)),
+        "declare": draw(st.booleans()),
+        "max_chunk_size": draw(st.sampled_from([8, 24, 100, 4096])),
+        "pipelined": draw(st.booleans()),
+    }
+
+
+def _as_form(col, form):
+    if form == "ndarray":
+        return col
+    if form == "numpy_list":
+        return list(col)  # numpy scalars / sub-arrays
+    return col.tolist()  # Python scalars (nested lists for rank >= 1)
+
+
+def _column_state(ds, name):
+    """Everything a write leaves in one tensor, chunk names aside."""
+    eng = ds._engine(name)
+    ranges = eng.enc.chunk_ranges()
+    rows = [eng.read_sample(i) for i in range(eng.num_samples)]
+    si = eng.meta.shape_interval
+    return {
+        "rows": [(r.dtype.str, r.shape, r.tobytes()) for r in rows],
+        "chunk_rows": [(start, end) for _cid, start, end in ranges],
+        "chunk_stats": [
+            eng.chunk_stats.get(ChunkIdEncoder.name_from_id(cid))
+            for cid, _s, _e in ranges
+        ],
+        "shape_interval": (si.lower, si.upper, si.is_empty),
+        "length": eng.meta.length,
+        "dtype": eng.meta.dtype,
+        "tiled": sorted(eng.tile_enc._layouts.items()),
+    }
+
+
+def _engine_state(ds):
+    """Exact in-memory state of every tensor (hidden ones included)."""
+    out = {}
+    for name in sorted(ds._meta.tensors):
+        eng = ds._engine(name)
+        chunks = {}
+        for cid, _s, _e in eng.enc.chunk_ranges():
+            cname = ChunkIdEncoder.name_from_id(cid)
+            chunks[cname] = eng._load_chunk(cname).tobytes()
+        active = eng._active_chunk
+        out[name] = {
+            "chunks": chunks,
+            "enc": eng.enc.tobytes(),
+            "pad": eng.pad_enc.tobytes(),
+            "meta": eng.meta.to_json(),
+            "stats": copy.deepcopy(eng.chunk_stats),
+            "diff": eng.commit_diff.to_json(),
+            "chunk_set": sorted(eng.chunk_set),
+            "pending": list(eng._pending_chunks),
+            "active": None if active is None else active.name,
+        }
+    return out
+
+
+def _stored(storage):
+    return {
+        key: bytes(storage[key]) for key in storage
+        if key != K.version_control_info_key()
+    }
+
+
+def _no_dense_staging():
+    """Stage every batch row by row, the way all writes went before
+    dense segments (the byte-for-byte reference)."""
+    return mock.patch.object(ChunkEngine, "_stage_column",
+                             lambda self, values: None)
+
+
+class TestColumnarWrites:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_dense_batches())
+    def test_extend_matches_row_appends(self, case):
+        col, form = case["col"], case["form"]
+        dtype = col.dtype.name if case["declare"] else None
+        states = []
+        with write_pipeline(enabled=case["pipelined"]):
+            for columnar in (True, False):
+                ds = repro.empty(MemoryProvider(), overwrite=True)
+                ds.create_tensor("x", dtype=dtype,
+                                 max_chunk_size=case["max_chunk_size"])
+                if columnar:
+                    split = case["split"]
+                    ds.extend({"x": _as_form(col[:split], form)})
+                    ds.extend({"x": _as_form(col[split:], form)})
+                else:
+                    for row in _as_form(col, form):
+                        ds.append({"x": row})
+                ids = ds._engine("_x_id").read_batch(
+                    range(len(col)), aslist=True
+                )
+                states.append((
+                    _column_state(ds, "x"),
+                    _column_state(ds, "_x_shape"),
+                    [(a.dtype, a.shape) for a in ids],
+                ))
+        assert states[0] == states[1]
+        assert len({int(a) for a in ids}) == len(col)  # ids stay unique
+
+    def test_ndarray_column_is_one_dense_segment(self):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="float32")
+        col = np.arange(12, dtype=np.float32).reshape(6, 2)
+        plan = ds._engine("x").stage_appends(col)
+        assert plan.dense is not None and not plan.entries
+        assert plan.num_rows == 6 and plan.num_bytes == col.nbytes
+        # ragged, mixed-dtype and non-numeric batches stage row by row
+        eng = ds._engine("x")
+        for values in (
+            [np.zeros(2, np.float32), np.zeros(3, np.float32)],
+            [np.float32(1), np.float64(2)],
+            [1, 2.5],
+        ):
+            assert eng.stage_appends(values).dense is None
+
+    def test_dense_staging_pools_nothing(self):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", dtype="int64")
+        with mock.patch("repro.core.chunk_engine.ThreadPoolExecutor") as pool:
+            ds.extend({"x": np.arange(64, dtype=np.int64)})
+        pool.assert_not_called()
+
+    def test_seeded_store_is_byte_identical_to_row_by_row(self):
+        rng = np.random.default_rng(3)
+        batches = [
+            {"a": rng.random(n).astype(np.float32),
+             "b": rng.integers(-99, 99, (n, 3)).astype(np.int64),
+             "box": rng.random((n, 2, 4)).astype(np.float32)}
+            for n in (5, 40, 1, 23, 64)
+        ]
+
+        def script():
+            seed_ids(11)
+            storage = MemoryProvider()
+            ds = repro.empty(storage, overwrite=True)
+            ds.create_tensor("a", dtype="float32", max_chunk_size=64)
+            ds.create_tensor("b", dtype="int64", max_chunk_size=100)
+            ds.create_tensor("box", htype="bbox", max_chunk_size=256)
+            for step, batch in enumerate(batches):
+                ds.extend(batch)
+                if step in (1, 3):
+                    ds.commit(f"step {step}")
+            ds.flush()
+            return _stored(storage)
+
+        columnar = script()
+        with _no_dense_staging():
+            rowwise = script()
+        assert sorted(columnar) == sorted(rowwise)
+        for key in columnar:
+            assert columnar[key] == rowwise[key], key
+
+
+class TestDenseRollback:
+    def _dataset(self, **kwargs):
+        ds = repro.empty(MemoryProvider(), overwrite=True)
+        ds.create_tensor("x", **kwargs)
+        return ds
+
+    def test_ragged_row_and_bool_column_leave_dataset_unchanged(self):
+        ds = self._dataset(dtype="int64", max_chunk_size=64)
+        ds.extend({"x": np.arange(20, dtype=np.int64).reshape(5, 4)})
+        before = _engine_state(ds)
+        good = np.ones(4, dtype=np.int64)
+        with pytest.raises(FormatError):
+            ds.extend({"x": [good, good, np.ones((2, 2), dtype=np.int64)]})
+        assert _engine_state(ds) == before
+        with pytest.raises(FormatError, match="holds dtype int64"):
+            ds.extend({"x": np.ones((6, 4), dtype=bool)})
+        assert _engine_state(ds) == before
+
+    def test_bbox_batch_with_bad_last_row_leaves_dataset_unchanged(
+        self, monkeypatch
+    ):
+        ds = self._dataset(htype="bbox")
+        ds.extend({"x": np.zeros((3, 2, 4), dtype=np.float32)})
+        before = _engine_state(ds)
+        # ragged batch: the per-row path validates the bad row last
+        rows = [np.zeros((2, 4), np.float32)] * 2 + [np.zeros((2, 5),
+                                                             np.float32)]
+        with pytest.raises(SampleShapeError):
+            ds.extend({"x": rows})
+        assert _engine_state(ds) == before
+        # dense batch: the validate hook still sees every row
+        spec = htypes.HTYPES["bbox"]
+
+        def no_negative_coords(arr):
+            spec.validate(arr)
+            if (arr < 0).any():
+                raise SampleShapeError("negative bbox coordinate")
+
+        monkeypatch.setitem(htypes.HTYPES, "bbox", dataclasses.replace(
+            spec, validate=no_negative_coords))
+        col = np.zeros((4, 2, 4), dtype=np.float32)
+        col[-1, 0, 0] = -1.0
+        with pytest.raises(SampleShapeError, match="negative"):
+            ds.extend({"x": col})
+        assert _engine_state(ds) == before
+
+    @pytest.mark.parametrize("pipelined", [True, False])
+    def test_failure_after_first_chunk_of_dense_segment(
+        self, monkeypatch, pipelined
+    ):
+        with write_pipeline(enabled=pipelined):
+            ds = self._dataset(dtype="int64", max_chunk_size=64)
+            ds.extend({"x": np.arange(3, dtype=np.int64)})  # partial chunk
+            before = _engine_state(ds)
+            enc = ds._engine("x").enc
+            calls = []
+            real = enc.register_samples
+
+            def flaky(count):
+                calls.append(count)
+                if len(calls) == 2:
+                    raise RuntimeError("injected failure")
+                real(count)
+
+            monkeypatch.setattr(enc, "register_samples", flaky)
+            with pytest.raises(RuntimeError, match="injected"):
+                ds.x.extend(np.arange(40, dtype=np.int64))
+            assert calls == [5, 8]  # fills the resumed chunk, then a new one
+            assert _engine_state(ds) == before
+            monkeypatch.undo()
+            ds.x.extend(np.arange(40, dtype=np.int64))
+            assert ds.x.numpy().tolist() == list(range(3)) + list(range(40))
